@@ -2,8 +2,7 @@
 shift operator, Fredholm solves, and polynomial graphon filter design."""
 
 from .kernels import (Graphon, empirical_graphon, erdos_renyi, exp_distance,
-                      exp_sum, eval_graphon, grid_graphon, l2_distance,
-                      sin_product)
+                      exp_sum, grid_graphon, l2_distance, sin_product)
 from .sampling import (Graph, ShiftOperator, apply_shift, sample_graph,
                        scaled_adjacency)
 from .steps import (StepSignal, apply_empirical_operator, lift,
@@ -12,7 +11,7 @@ from .chebyshev import (ChebCoeffVector, QuadratureRule, cheb_eval,
                         map_domain, map_domain_inverse, project_signal,
                         quad_integrate, resample)
 from .galerkin import (OperatorMatrix, build_fg_shift, compute_tilde_w,
-                       fredholm_solve, resolvent_eigs, weight_correct)
+                       fredholm_solve, resolvent_eigs)
 from .filtering import (DesignResult, FilterCoeffs, IdealResponse,
                         apply_graph_filter, design_filter, fg_filter_operator,
                         filter_pipeline, frequency_response,

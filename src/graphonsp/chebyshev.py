@@ -30,21 +30,18 @@ __all__ = [
     "quad_integrate",
     "project_signal",
     "resample",
+    "project_apply_resample",
     "map_domain",
     "map_domain_inverse",
     "coeffs_to_csv",
     "coeffs_from_csv",
 ]
 
-UNIT_SERIES = "unit-series"
-
-
 @dataclass(frozen=True)
 class ChebCoeffVector:
     """Chebyshev coefficients; entry i multiplies the degree-(i-1) polynomial."""
 
     coeffs: np.ndarray
-    convention: str = UNIT_SERIES
 
     def __len__(self):
         return len(self.coeffs)
@@ -127,6 +124,14 @@ def resample(g, t_points: int) -> np.ndarray:
     coeffs = g.coeffs if isinstance(g, ChebCoeffVector) else np.asarray(g, dtype=float)
     u = np.linspace(-1.0, 1.0, t_points)
     return cheb_basis_matrix(u, len(coeffs)) @ coeffs
+
+
+def project_apply_resample(matrix: np.ndarray, f, p: int, t_points: int) -> np.ndarray:
+    """Project f (a function on [0,1]) onto the first matrix.shape[1]
+    Chebyshev polynomials, apply the coefficient-space matrix, and resample
+    the result at t_points uniform points."""
+    coeffs = project_signal(lambda u: f(map_domain_inverse(u)), p, matrix.shape[1])
+    return resample(matrix @ coeffs.coeffs, t_points)
 
 
 def map_domain(x):

@@ -42,8 +42,6 @@ def parse_graphon_spec(spec: str) -> kernels.Graphon:
             return kernels.exp_distance(float(params))
         if kind == "file":
             return kernels.grid_from_csv(params, label=spec)
-    except ValueError:
-        raise
     except Exception as exc:
         raise ValueError(f"malformed graphon spec {spec!r}: {exc}") from exc
     raise ValueError(f"unknown graphon id {kind!r} in spec {spec!r}")

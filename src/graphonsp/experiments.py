@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chebyshev import ChebCoeffVector, map_domain_inverse, project_signal, resample
+from .chebyshev import map_domain_inverse, project_apply_resample
 from .filtering import (FilterCoeffs, IdealResponse, apply_graph_filter,
                         design_filter, fg_filter_operator)
 from .galerkin import build_fg_shift
@@ -124,16 +124,14 @@ def _design_cell(cfg: ExperimentConfig, label: str, ideal: IdealResponse):
     w = cfg.graphons[label]
     f = cfg.input_function()
     w_op = build_fg_shift(w, cfg.panels, cfg.basis)
-    coeffs_in = project_signal(lambda u: f(map_domain_inverse(u)), cfg.panels, cfg.basis)
     designs = {k: design_filter(w_op, k, ideal, cfg.svd_tol) for k in cfg.orders}
     chosen = designs[cfg.chosen_order]
 
     _, xgrid = _common_grid(cfg.resample_points)
     h_mat = fg_filter_operator(w_op, chosen.coeffs)
-    graphon_pred = resample(ChebCoeffVector(h_mat @ coeffs_in.coeffs),
-                            cfg.resample_points)
-    ideal_curve = resample(ChebCoeffVector(ideal.matrix() @ coeffs_in.coeffs),
-                           cfg.resample_points)
+    graphon_pred = project_apply_resample(h_mat, f, cfg.panels, cfg.resample_points)
+    ideal_curve = project_apply_resample(ideal.matrix(), f, cfg.panels,
+                                         cfg.resample_points)
 
     records: List[ExperimentRecord] = []
     curves: List[ExperimentCurves] = []
@@ -203,11 +201,9 @@ def run_filter_convergence(cfg: ExperimentConfig):
     references = {}
     for label in sorted(cfg.graphons):
         w_op = build_fg_shift(cfg.graphons[label], cfg.panels, cfg.basis)
-        coeffs_in = project_signal(lambda u: f(map_domain_inverse(u)),
-                                   cfg.panels, cfg.basis)
         h_mat = fg_filter_operator(w_op, taps)
-        references[label] = resample(ChebCoeffVector(h_mat @ coeffs_in.coeffs),
-                                     cfg.resample_points)
+        references[label] = project_apply_resample(h_mat, f, cfg.panels,
+                                                   cfg.resample_points)
 
     cells = [(label, n, seed)
              for label in sorted(cfg.graphons)

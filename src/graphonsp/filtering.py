@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import ChebCoeffVector, project_signal, resample, map_domain_inverse
-from .galerkin import CORRECTED, OperatorMatrix, build_fg_shift
+from .chebyshev import project_apply_resample
+from .galerkin import OperatorMatrix, build_fg_shift
 from .sampling import ShiftOperator
 
 __all__ = [
@@ -102,19 +102,24 @@ def fg_filter_operator(w_op: OperatorMatrix, h: FilterCoeffs) -> np.ndarray:
     return out
 
 
-def truncated_svd_pinv(a: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with singular values below
-    rel_tol * sigma_max zeroed."""
+def _truncated_svd(a: np.ndarray, rel_tol: float):
+    """Thin SVD factors (u, s, vt) of a, keeping only the singular values
+    above rel_tol * sigma_max (none when a is zero)."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("pseudoinverse requires a nonempty matrix")
     if not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol must lie in (0, 1)")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[0]))
     keep = s > rel_tol * s[0]
-    return (vt[keep].T / s[keep]) @ u[:, keep].T
+    return u[:, keep], s[keep], vt[keep]
+
+
+def truncated_svd_pinv(a: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
+    """Moore-Penrose pseudoinverse with singular values below
+    rel_tol * sigma_max zeroed."""
+    u, s, vt = _truncated_svd(a, rel_tol)
+    return (vt.T / s) @ u.T
 
 
 def design_filter(w_op: OperatorMatrix, order: int, d: IdealResponse,
@@ -127,8 +132,6 @@ def design_filter(w_op: OperatorMatrix, order: int, d: IdealResponse,
     the residual is contracted).  The residual ||A h - b||_2 equals the
     Frobenius misfit of the filter matrix against D.
     """
-    if w_op.stage != CORRECTED:
-        raise ValueError("design_filter expects a corrected operator")
     if order < 1:
         raise ValueError("filter order must be at least 1")
     n = w_op.size
@@ -141,12 +144,11 @@ def design_filter(w_op: OperatorMatrix, order: int, d: IdealResponse,
         power = power @ w_op.entries
         cols[:, k] = power.reshape(-1)
     b = d.matrix().reshape(-1)
-    u, s, vt = np.linalg.svd(cols, full_matrices=False)
-    keep = s > rel_tol * s[0] if s[0] > 0 else np.zeros_like(s, dtype=bool)
-    h_tail = (vt[keep].T / s[keep]) @ (u[:, keep].T @ b) if keep.any() else np.zeros(order)
+    u, s, vt = _truncated_svd(cols, rel_tol)
+    h_tail = (vt.T / s) @ (u.T @ b)
     residual = float(np.linalg.norm(cols @ h_tail - b))
     coeffs = FilterCoeffs(np.concatenate([[0.0], h_tail]))
-    return DesignResult(coeffs=coeffs, residual=residual, rank_used=int(keep.sum()))
+    return DesignResult(coeffs=coeffs, residual=residual, rank_used=len(s))
 
 
 def frequency_response(h_op: np.ndarray) -> np.ndarray:
@@ -173,11 +175,9 @@ def filter_pipeline(w, f, order: int, d: IdealResponse, p: int, n: int,
     output at t_points uniform points, and the frequency response H @ 1.
     """
     w_op = build_fg_shift(w, p, n)
-    coeffs_in = project_signal(lambda u: f(map_domain_inverse(u)), p, n)
     design = design_filter(w_op, order, d, rel_tol)
     h_mat = fg_filter_operator(w_op, design.coeffs)
-    g = ChebCoeffVector(coeffs=h_mat @ coeffs_in.coeffs)
     return PipelineResult(coeffs=design.coeffs,
                           residual=design.residual,
-                          graphon_output=resample(g, t_points),
+                          graphon_output=project_apply_resample(h_mat, f, p, t_points),
                           response=frequency_response(h_mat))

@@ -15,6 +15,18 @@ constant kernel's corrected operator supported on the single (1,1) entry,
 so its range is the constant functions and the consensus response is
 exactly reachable, matching the behaviour the design experiments rely on.
 
+The p-panel rule resolves raw degrees 0..p only (higher ones are exact
+zeros), so the recombination is a fixed (p+1) x n matrix C, built in
+closed form by ``_weight_correction``:
+
+    C[k, d] = (2/pi) * (delta_kd - [k > 0 and k - d even] * (a_{|k-d|/2} + a_{(k+d)/2}))
+
+with a_0 = 0 and a_l = 1/(4l^2-1).  The factor [k > 0] is the reflection
+rule above, unchanged: no term lands on raw degree 0.  The raw matrix is
+never formed; the corrected n x n block is basis[:, :n]^T K (basis C), with
+K the kernel at the quadrature nodes and basis the weighted Chebyshev basis
+of degrees 0..p there.
+
 The returned shift operator acts on unit-series coefficient vectors
 (entry i multiplies c_{i-1}): rows are scaled by 1/(2*normalizer) so that
 the matrix represents g = T f on [0,1] including the domain-map Jacobian.
@@ -27,15 +39,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import (ChebCoeffVector, QuadratureRule, cheb_basis_matrix,
+from .chebyshev import (QuadratureRule, cheb_basis_matrix,
                         coefficient_normalizers, map_domain_inverse,
-                        project_signal, resample)
+                        project_apply_resample)
 from .kernels import Graphon
 
 __all__ = [
     "OperatorMatrix",
     "compute_tilde_w",
-    "weight_correct",
     "build_fg_shift",
     "fredholm_solve",
     "resolvent_eigs",
@@ -43,28 +54,40 @@ __all__ = [
     "operator_from_csv",
 ]
 
-RAW_TILDE = "raw_tilde"
-CORRECTED = "corrected"
-
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Finite operator matrix in the Chebyshev basis.
-
-    ``raw_tilde`` matrices are padded square matrices of the double
-    quadrature sums; ``corrected`` matrices are weight-corrected,
-    truncated to basis_size x basis_size, and normalized to act on
-    unit-series coefficient vectors.
-    """
+    """Square operator matrix in the Chebyshev basis, built with ``panels``
+    quadrature panels (0 when unknown, e.g. read back from CSV)."""
 
     entries: np.ndarray
-    stage: str
-    basis_size: int
     panels: int
 
     @property
     def size(self):
         return self.entries.shape[0]
+
+
+def _kernel_and_basis(w: Graphon, p: int):
+    """Kernel K at the p-panel rule's nodes (mapped to [0,1]) and the weighted
+    basis B[m, i] = weight_m * c_i(node_m) for degrees i = 0..p."""
+    rule = QuadratureRule(p)
+    x = map_domain_inverse(rule.nodes)
+    kernel = w.eval(x[:, None], x[None, :])
+    basis = rule.weights[:, None] * cheb_basis_matrix(rule.nodes, p + 1)
+    return kernel, basis
+
+
+def _weight_correction(p: int, n: int) -> np.ndarray:
+    """The (p+1) x n matrix C mapping raw columns (degrees 0..p) to the
+    weight-corrected columns (degrees 0..n-1); see the module docstring."""
+    k = np.arange(p + 1)[:, None]
+    d = np.arange(n)[None, :]
+    a = np.zeros(p + 1)
+    a[1:] = 1.0 / (4.0 * np.arange(1, p + 1) ** 2 - 1.0)
+    live = (k > 0) & ((k + d) % 2 == 0)
+    c = (k == d) - live * (a[np.abs(k - d) // 2] + a[(k + d) // 2])
+    return (2.0 / np.pi) * c
 
 
 def compute_tilde_w(w: Graphon, p: int, n_pad: int) -> OperatorMatrix:
@@ -75,62 +98,31 @@ def compute_tilde_w(w: Graphon, p: int, n_pad: int) -> OperatorMatrix:
     The p-panel rule folds degree 2p-k onto degree k, so entries above
     degree p absorb low-degree kernel mass instead of their own (which has
     already decayed).  Only degrees <= p are therefore evaluated; the rest
-    of the requested padding is stored as exact zeros, which is what the
-    weight-correction series reads.
+    of the requested n_pad x n_pad matrix is stored as exact zeros.
     """
     if n_pad < 1:
         raise ValueError("padded size must be positive")
-    rule = QuadratureRule(p)
-    x = map_domain_inverse(rule.nodes)
-    kernel = w.eval(x[:, None], x[None, :])
+    kernel, basis = _kernel_and_basis(w, p)
     n_live = min(n_pad, p + 1)
-    basis = rule.weights[:, None] * cheb_basis_matrix(rule.nodes, n_live)
+    basis = basis[:, :n_live]
     entries = np.zeros((n_pad, n_pad))
     entries[:n_live, :n_live] = basis.T @ kernel @ basis
     entries.flags.writeable = False
-    return OperatorMatrix(entries=entries, stage=RAW_TILDE, basis_size=n_pad, panels=p)
-
-
-def weight_correct(raw: OperatorMatrix, p: int, n: int) -> OperatorMatrix:
-    """Cancel the surplus sqrt(1-v^2) weight; return the n x n principal block.
-
-    Column at degree d combines the raw columns at degrees d+2l and |d-2l|
-    for l = 1..p (reflections hitting degree 0 excluded), scaled by 2/pi.
-    The raw matrix must be padded so every d+2l lookup lands inside.
-    """
-    if raw.stage != RAW_TILDE:
-        raise ValueError("weight_correct expects a raw tilde matrix")
-    side = raw.size
-    if side < n + 2 * p:
-        raise ValueError(
-            f"raw matrix of side {side} is insufficiently padded for "
-            f"n={n}, p={p}; need at least {n + 2 * p}")
-    t = raw.entries
-    out = t[:n, :n].copy()
-    for j in range(n):  # column degree d = j
-        for l in range(1, p + 1):
-            coef = 1.0 / (4 * l * l - 1)
-            out[:, j] -= coef * t[:n, j + 2 * l]
-            d_refl = j - 2 * l
-            if d_refl != 0:
-                out[:, j] -= coef * t[:n, abs(d_refl)]
-    out *= 2.0 / np.pi
-    out.flags.writeable = False
-    return OperatorMatrix(entries=out, stage=CORRECTED, basis_size=n, panels=p)
+    return OperatorMatrix(entries=entries, panels=p)
 
 
 def build_fg_shift(w: Graphon, p: int, n: int) -> OperatorMatrix:
-    """Fourier-Galerkin shift operator: tilde sums, weight correction,
-    truncation, and normalization onto unit-series coefficients."""
+    """Fourier-Galerkin shift operator: tilde sums with the weight correction
+    C folded in, then normalization onto unit-series coefficients."""
     if n > p + 1:
         raise ValueError(
             f"{p} panels cannot resolve a basis of size {n} (aliasing); "
             f"need n <= p+1")
-    raw = compute_tilde_w(w, p, n + 2 * p)
-    corrected = weight_correct(raw, p, n)
-    entries = corrected.entries / (2.0 * coefficient_normalizers(n))[:, None]
+    kernel, basis = _kernel_and_basis(w, p)
+    corrected = basis[:, :n].T @ kernel @ (basis @ _weight_correction(p, n))
+    entries = corrected / (2.0 * coefficient_normalizers(n))[:, None]
     entries.flags.writeable = False
-    return OperatorMatrix(entries=entries, stage=CORRECTED, basis_size=n, panels=p)
+    return OperatorMatrix(entries=entries, panels=p)
 
 
 def fredholm_solve(w: Graphon, f, p: int, n: int, t_points: int) -> np.ndarray:
@@ -139,10 +131,7 @@ def fredholm_solve(w: Graphon, f, p: int, n: int, t_points: int) -> np.ndarray:
     ``f`` is a closure on [0,1]; the returned values sit on the uniform
     grid x = (u+1)/2 with u running over [-1,1] inclusive.
     """
-    op = build_fg_shift(w, p, n)
-    coeffs = project_signal(lambda u: f(map_domain_inverse(u)), p, n)
-    g = ChebCoeffVector(coeffs=op.entries @ coeffs.coeffs)
-    return resample(g, t_points)
+    return project_apply_resample(build_fg_shift(w, p, n).entries, f, p, t_points)
 
 
 def resolvent_eigs(o: OperatorMatrix) -> np.ndarray:
@@ -152,8 +141,6 @@ def resolvent_eigs(o: OperatorMatrix) -> np.ndarray:
     operator is self-adjoint; finite quadrature and the coefficient
     normalization can break matrix symmetry, which is reported.
     """
-    if o.stage != CORRECTED:
-        raise ValueError("resolvent_eigs expects a corrected operator")
     m = o.entries
     asym = float(np.abs(m - m.T).max())
     if asym > 1e-8:
@@ -167,7 +154,6 @@ def operator_to_csv(o: OperatorMatrix, path) -> None:
     np.savetxt(path, o.entries, delimiter=",")
 
 
-def operator_from_csv(path, stage: str = CORRECTED, panels: int = 0) -> OperatorMatrix:
-    entries = np.loadtxt(path, delimiter=",", ndmin=2)
-    return OperatorMatrix(entries=entries, stage=stage,
-                          basis_size=entries.shape[0], panels=panels)
+def operator_from_csv(path, panels: int = 0) -> OperatorMatrix:
+    return OperatorMatrix(entries=np.loadtxt(path, delimiter=",", ndmin=2),
+                          panels=panels)

@@ -19,6 +19,7 @@ __all__ = [
     "sin_product",
     "exp_sum",
     "exp_distance",
+    "grid_graphon",
     "empirical_graphon",
     "l2_distance",
     "grid_to_csv",
@@ -121,11 +122,6 @@ def empirical_graphon(graph) -> Graphon:
     """
     adj = graph.adjacency.astype(float)
     return grid_graphon(adj, label=f"empirical:{graph.n}")
-
-
-def eval_graphon(w: Graphon, x, y):
-    """Pointwise kernel evaluation; function-call form of ``Graphon.eval``."""
-    return w.eval(x, y)
 
 
 def l2_distance(w1: Graphon, w2: Graphon, grid_side: int) -> float:

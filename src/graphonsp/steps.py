@@ -59,14 +59,6 @@ class StepSignal:
         """Value of the lifted function: coeffs[strip(t)] * N."""
         return self.coeffs[self.strip_index(t)] * len(self.coeffs)
 
-    def strip_values(self, t):
-        """Coefficient value on the strip containing t (no amplitude factor).
-
-        This is the natural piecewise-constant interpolant of the vector,
-        used when comparing graph outputs against continuous ones.
-        """
-        return self.coeffs[self.strip_index(t)]
-
 
 def lift(x, domain: str = "unit") -> StepSignal:
     """Lift a vector into the step basis; unlift(lift(x)) == x exactly."""

@@ -85,6 +85,13 @@ class TestDispatch:
         assert len(payload["h"]) == 6 and payload["h"][0] == 0.0
         assert payload["rank_used"] >= 1
 
+    def test_design_rejects_svd_tol_outside_unit_interval(self, capsys):
+        for tol in ("2", "0"):
+            code = dispatch(["design", "--graphon", "er:0.5", "--order", "5",
+                             "--ideal", "1,0,0,0,0", "--svd-tol", tol])
+            assert code == 2
+            assert "rel_tol" in capsys.readouterr().err
+
     def test_fg_operator_csv(self, tmp_path):
         out = tmp_path / "op.csv"
         code = dispatch(["fg-operator", "--graphon", "er:0.5", "--panels", "10",

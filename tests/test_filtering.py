@@ -5,15 +5,13 @@ from graphonsp.filtering import (FilterCoeffs, IdealResponse, apply_graph_filter
                                  design_filter, fg_filter_operator,
                                  filter_pipeline, frequency_response,
                                  truncated_svd_pinv)
-from graphonsp.galerkin import build_fg_shift, CORRECTED, OperatorMatrix
+from graphonsp.galerkin import build_fg_shift, OperatorMatrix
 from graphonsp.kernels import erdos_renyi, exp_distance, exp_sum, sin_product
 from graphonsp.sampling import apply_shift, sample_graph, scaled_adjacency
 
 
 def operator_from_entries(entries, panels=10):
-    entries = np.asarray(entries, dtype=float)
-    return OperatorMatrix(entries=entries, stage=CORRECTED,
-                          basis_size=entries.shape[0], panels=panels)
+    return OperatorMatrix(entries=np.asarray(entries, dtype=float), panels=panels)
 
 
 class TestApplyGraphFilter:

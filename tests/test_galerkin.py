@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from graphonsp.galerkin import (build_fg_shift, compute_tilde_w,
-                                fredholm_solve, operator_from_csv,
-                                operator_to_csv, resolvent_eigs,
-                                weight_correct, OperatorMatrix, RAW_TILDE)
-from graphonsp.kernels import erdos_renyi, exp_sum, grid_graphon
+from graphonsp.galerkin import (_weight_correction, build_fg_shift,
+                                compute_tilde_w, fredholm_solve,
+                                operator_from_csv, operator_to_csv,
+                                resolvent_eigs)
+from graphonsp.kernels import (erdos_renyi, exp_distance, exp_sum, grid_graphon,
+                               sin_product)
 from graphonsp.sampling import sample_graph, scaled_adjacency
 
 ZERO = grid_graphon(np.zeros((4, 4)), label="zero")
@@ -25,6 +26,22 @@ def power_iteration_radius(m, iters=200, seed=0):
         v = w / nw
         lam = v @ (m @ v)
     return abs(lam)
+
+
+def reference_weight_correct(raw, p, n):
+    """Column recombination of a padded raw matrix, one (j, l) term at a
+    time: column degree j receives -1/(4l^2-1) times the raw columns at
+    degrees j+2l and |j-2l| for l = 1..p, reflections onto degree 0
+    excluded, then everything is scaled by 2/pi."""
+    assert raw.shape[1] >= n + 2 * p
+    out = raw[:, :n].copy()
+    for j in range(n):
+        for l in range(1, p + 1):
+            coef = 1.0 / (4 * l * l - 1)
+            out[:, j] -= coef * raw[:, j + 2 * l]
+            if j - 2 * l != 0:
+                out[:, j] -= coef * raw[:, abs(j - 2 * l)]
+    return out * (2.0 / np.pi)
 
 
 class TestTildeW:
@@ -59,35 +76,23 @@ class TestTildeW:
 
 class TestWeightCorrect:
     def test_zero_raw_gives_zero_corrected(self):
-        raw = compute_tilde_w(ZERO, 6, 17)
-        out = weight_correct(raw, 6, 5)
-        np.testing.assert_array_equal(out.entries, np.zeros((5, 5)))
+        raw = compute_tilde_w(ZERO, 6, 7)
+        out = raw.entries[:5] @ _weight_correction(6, 5)
+        np.testing.assert_array_equal(out, np.zeros((5, 5)))
 
     def test_single_corner_entry_scales_by_two_over_pi(self):
-        # symbolic expansion with one nonzero raw entry: every correction
-        # lookup for the first column lands on a zero, so the corrected
-        # corner is (2/pi) * pi^2 * p = 2*pi*p
+        # one nonzero raw entry at degree 0: every correction term of the
+        # first column either lands above degree 0 or is a reflection onto
+        # degree 0, which is excluded, so the corrected corner is
+        # (2/pi) * pi^2 * p = 2*pi*p
         p_panels, n = 10, 5
-        entries = np.zeros((n + 2 * p_panels, n + 2 * p_panels))
-        entries[0, 0] = np.pi ** 2 * 0.5
-        raw = OperatorMatrix(entries=entries, stage=RAW_TILDE,
-                             basis_size=n + 2 * p_panels, panels=p_panels)
-        out = weight_correct(raw, p_panels, n)
-        assert out.entries[0, 0] == pytest.approx(2 * np.pi * 0.5)
-        rest = out.entries.copy()
+        raw = np.zeros((n, p_panels + 1))
+        raw[0, 0] = np.pi ** 2 * 0.5
+        out = raw @ _weight_correction(p_panels, n)
+        assert out[0, 0] == pytest.approx(2 * np.pi * 0.5)
+        rest = out.copy()
         rest[0, 0] = 0.0
         assert np.abs(rest).max() < 1e-12
-
-    def test_insufficient_padding_rejected(self):
-        raw = compute_tilde_w(exp_sum(0.5), 6, 10)
-        with pytest.raises(ValueError):
-            weight_correct(raw, 6, 5)  # needs 5 + 12 = 17
-
-    def test_corrected_stage_rejected_as_input(self):
-        raw = compute_tilde_w(exp_sum(0.5), 6, 17)
-        out = weight_correct(raw, 6, 5)
-        with pytest.raises(ValueError):
-            weight_correct(out, 6, 5)
 
 
 class TestBuildFgShift:
@@ -138,6 +143,23 @@ class TestAgainstDenseQuadratureOracle:
                 outer = np.mean(inner * np.cos(i * theta)) * np.pi  # w(u) du
                 expected = outer / (2 * gammas[i])
                 assert abs(op.entries[i, j] - expected) < 1e-9
+
+
+class TestAgainstReferenceLoop:
+    @pytest.mark.parametrize("p, n", [(6, 7), (10, 5), (16, 5), (200, 50)])
+    @pytest.mark.parametrize("kernel", [erdos_renyi(0.5), exp_sum(0.5),
+                                        sin_product(0.5, 0.5, 3.5),
+                                        exp_distance(10)],
+                             ids=lambda w: w.label)
+    def test_every_column_matches(self, kernel, p, n):
+        # the operator as it was first built: padded raw tilde matrix,
+        # per-(j, l) weight correction, truncation, row normalization
+        raw = compute_tilde_w(kernel, p, n + 2 * p).entries[:n]
+        gammas = np.array([np.pi] + [np.pi / 2] * (n - 1))
+        expected = reference_weight_correct(raw, p, n) / (2 * gammas)[:, None]
+        got = build_fg_shift(kernel, p, n).entries
+        assert got.shape == (n, n)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
 
 
 class TestFredholmSolve:
@@ -198,11 +220,6 @@ class TestResolventEigs:
         s = scaled_adjacency(g)
         radius = power_iteration_radius(s.entries, iters=100)
         assert abs(radius - 0.5) < 0.05
-
-    def test_raw_stage_rejected(self):
-        raw = compute_tilde_w(erdos_renyi(0.5), 10, 5)
-        with pytest.raises(ValueError):
-            resolvent_eigs(raw)
 
 
 class TestOperatorCsv:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphonsp.kernels import (empirical_graphon, erdos_renyi, eval_graphon,
+from graphonsp.kernels import (empirical_graphon, erdos_renyi,
                                exp_distance, exp_sum, grid_from_csv,
                                grid_graphon, grid_to_csv, l2_distance,
                                sin_product)
@@ -18,10 +18,10 @@ def empty_graph(n):
 
 class TestEval:
     def test_er_is_constant(self):
-        assert eval_graphon(erdos_renyi(0.5), 0.3, 0.7) == 0.5
+        assert erdos_renyi(0.5).eval(0.3, 0.7) == 0.5
 
     def test_expsum_at_origin(self):
-        assert eval_graphon(exp_sum(0.5), 0.0, 0.0) == 1.0
+        assert exp_sum(0.5).eval(0.0, 0.0) == 1.0
 
     def test_sinprod_vanishing_product(self):
         w = sin_product(1 / 3, 1 / 3, 3)
