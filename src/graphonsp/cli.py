@@ -69,6 +69,23 @@ def _parse_floats(text: str) -> np.ndarray:
     return np.asarray([float(v) for v in text.split(",")])
 
 
+def _parse_ints(text: str) -> tuple:
+    return tuple(int(v) for v in text.split(","))
+
+
+def _add_study_flags(p: argparse.ArgumentParser, seeds: str) -> None:
+    """Flags shared by the experiment:* subcommands."""
+    p.add_argument("--graphon", action="append", default=None,
+                   help="repeatable; defaults to the three reference models")
+    p.add_argument("--seeds", default=seeds, help="comma list of seeds")
+    p.add_argument("--panels", type=int, default=10)
+    p.add_argument("--basis", type=int, default=5)
+    p.add_argument("--input", default="x_plus_sin")
+    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--unsorted", action="store_true")
+    p.add_argument("--out-dir", required=True)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphonsp",
@@ -117,55 +134,44 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
 
-    for task in ("experiment:lowpass", "experiment:consensus"):
-        p = sub.add_parser(task, help=f"run the {task.split(':')[1]} study")
-        p.add_argument("--graphon", action="append", default=None,
-                       help="repeatable; defaults to the three reference models")
+    for study in ("lowpass", "consensus"):
+        p = sub.add_parser(f"experiment:{study}", help=f"run the {study} study")
         p.add_argument("--n", type=int, default=2000)
-        p.add_argument("--seeds", default="0", help="comma list of seeds")
-        p.add_argument("--order", type=int, default=5)
-        p.add_argument("--ideal", default=None, help="comma list, diagonal of D")
-        p.add_argument("--panels", type=int, default=10)
-        p.add_argument("--basis", type=int, default=5)
-        p.add_argument("--input", default="x_plus_sin")
-        p.add_argument("--points", type=int, default=200)
-        p.add_argument("--unsorted", action="store_true")
-        p.add_argument("--out-dir", required=True)
+        p.add_argument("--order", type=int, default=5,
+                       help="design order whose curves are reported, 1..8")
+        if study == "lowpass":
+            p.add_argument("--ideal", default=None, help="comma list, diagonal of D")
+        _add_study_flags(p, seeds="0")
 
     p = sub.add_parser("experiment:convergence",
                        help="graph-to-graphon filter convergence sweep")
-    p.add_argument("--graphon", action="append", default=None)
     p.add_argument("--n-values", default="100,400,1600")
-    p.add_argument("--seeds", default="0,1,2,3,4")
     p.add_argument("--taps", default="0.5,0.3,0.2")
-    p.add_argument("--panels", type=int, default=10)
-    p.add_argument("--basis", type=int, default=5)
-    p.add_argument("--input", default="x_plus_sin")
-    p.add_argument("--points", type=int, default=200)
-    p.add_argument("--unsorted", action="store_true")
-    p.add_argument("--out-dir", required=True)
+    _add_study_flags(p, seeds="0,1,2,3,4")
     return parser
 
 
 _DEFAULT_GRAPHONS = ("er:0.5", "sinprod:0.5,0.5,3.5", "expdist:10")
 
 
-def _experiment_config(args, node_counts, seeds) -> ExperimentConfig:
-    specs = args.graphon if args.graphon else list(_DEFAULT_GRAPHONS)
-    graphons = {spec: parse_graphon_spec(spec) for spec in specs}
-    ideal = _parse_floats(args.ideal) if getattr(args, "ideal", None) else None
+def _experiment_config(args) -> ExperimentConfig:
+    if args.command == "experiment:convergence":
+        study = {"node_counts": _parse_ints(args.n_values),
+                 "filter_taps": tuple(_parse_floats(args.taps))}
+    else:
+        study = {"node_counts": (args.n,), "chosen_order": args.order}
+    if args.command == "experiment:lowpass" and args.ideal:
+        study["ideal"] = _parse_floats(args.ideal)
+    specs = args.graphon or _DEFAULT_GRAPHONS
     return ExperimentConfig(
-        graphons=graphons,
-        node_counts=tuple(node_counts),
-        seeds=tuple(seeds),
-        chosen_order=getattr(args, "order", 5),
-        ideal=ideal,
-        filter_taps=tuple(_parse_floats(args.taps)) if hasattr(args, "taps") else (0.5, 0.3, 0.2),
+        graphons={spec: parse_graphon_spec(spec) for spec in specs},
+        seeds=_parse_ints(args.seeds),
         panels=args.panels,
         basis=args.basis,
         input_id=args.input,
         resample_points=args.points,
-        sorted_latent=not args.unsorted)
+        sorted_latent=not args.unsorted,
+        **study)
 
 
 def _run(args) -> int:
@@ -234,31 +240,22 @@ def _run(args) -> int:
                           "samples": est.samples}))
         return 0
 
-    if args.command in ("experiment:lowpass", "experiment:consensus"):
-        seeds = [int(s) for s in args.seeds.split(",")]
-        cfg = _experiment_config(args, [args.n], seeds)
-        runner = (experiments.run_lowpass if args.command.endswith("lowpass")
-                  else experiments.run_consensus)
-        records, curves = runner(cfg)
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if args.command.startswith("experiment:"):
         stem = args.command.split(":")[1]
-        experiments.records_to_csv(records, out / f"{stem}.csv")
-        curve_paths = experiments.curves_to_csv(curves, out, stem)
-        print(f"wrote {len(records)} records to {out / (stem + '.csv')} and "
-              f"{len(curve_paths)} curve files")
-        return 0
-
-    if args.command == "experiment:convergence":
-        seeds = [int(s) for s in args.seeds.split(",")]
-        counts = [int(v) for v in args.n_values.split(",")]
-        cfg = _experiment_config(args, counts, seeds)
-        records, means = experiments.run_filter_convergence(cfg)
+        runner = {"lowpass": experiments.run_lowpass,
+                  "consensus": experiments.run_consensus,
+                  "convergence": experiments.run_filter_convergence}[stem]
+        records, extra = runner(_experiment_config(args))
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        experiments.records_to_csv(records, out / "convergence.csv")
-        for (label, n), mean in sorted(means.items()):
-            print(f"{label} N={n}: mean discrepancy {mean:.6f}")
+        experiments.records_to_csv(records, out / f"{stem}.csv")
+        if stem == "convergence":
+            for (label, n), mean in sorted(extra.items()):
+                print(f"{label} N={n}: mean discrepancy {mean:.6f}")
+        else:
+            curve_paths = experiments.curves_to_csv(extra, out, stem)
+            print(f"wrote {len(records)} records to {out / (stem + '.csv')} and "
+                  f"{len(curve_paths)} curve files")
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")

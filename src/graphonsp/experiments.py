@@ -46,8 +46,9 @@ class ExperimentConfig:
     """Inputs shared by the experiment drivers.
 
     ``graphons`` maps labels to kernels.  ``ideal`` is the ideal response
-    diagonal (length = basis size) used by the design experiments;
-    ``filter_taps`` is the fixed tap vector used by the convergence sweep.
+    diagonal (length = basis size) used by the design experiments, which
+    report curves at ``chosen_order``, one of ``orders``; ``filter_taps``
+    is the fixed tap vector used by the convergence sweep.
     """
 
     graphons: Dict[str, Graphon]
@@ -63,9 +64,6 @@ class ExperimentConfig:
     resample_points: int = 200
     sorted_latent: bool = True
     svd_tol: float = 1e-8
-
-    def input_function(self):
-        return input_function(self.input_id)
 
 
 def input_function(input_id: str):
@@ -103,12 +101,6 @@ class ExperimentCurves:
     graph_empirical: np.ndarray
 
 
-def _common_grid(t_points: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Uniform u-grid on [-1,1] inclusive and its [0,1] image."""
-    u = np.linspace(-1.0, 1.0, t_points)
-    return u, map_domain_inverse(u)
-
-
 def _strip_interpolant(values: np.ndarray, xgrid: np.ndarray) -> np.ndarray:
     n = len(values)
     idx = np.minimum((xgrid * n).astype(int), n - 1)
@@ -119,56 +111,70 @@ def _l2(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
-def _design_cell(cfg: ExperimentConfig, label: str, ideal: IdealResponse):
-    """Design residuals over the order sweep plus curves at the chosen order."""
-    w = cfg.graphons[label]
-    f = cfg.input_function()
-    w_op = build_fg_shift(w, cfg.panels, cfg.basis)
-    designs = {k: design_filter(w_op, k, ideal, cfg.svd_tol) for k in cfg.orders}
-    chosen = designs[cfg.chosen_order]
+def _filter_cells(cfg: ExperimentConfig, taps: Dict[str, FilterCoeffs]):
+    """Sample and filter every (graphon, N, seed) cell, each with its
+    graphon's taps, in one thread pool.
 
-    _, xgrid = _common_grid(cfg.resample_points)
-    h_mat = fg_filter_operator(w_op, chosen.coeffs)
-    graphon_pred = project_apply_resample(h_mat, f, cfg.panels, cfg.resample_points)
-    ideal_curve = project_apply_resample(ideal.matrix(), f, cfg.panels,
-                                         cfg.resample_points)
+    Returns the uniform resample grid on [0,1] and, in key order, each
+    cell's key with the strip interpolant of its graph output on that grid.
+    """
+    f = input_function(cfg.input_id)
+    xgrid = map_domain_inverse(np.linspace(-1.0, 1.0, cfg.resample_points))
+    cells = [(label, n, seed)
+             for label in sorted(cfg.graphons)
+             for n in cfg.node_counts
+             for seed in cfg.seeds]
 
-    records: List[ExperimentRecord] = []
-    curves: List[ExperimentCurves] = []
-    for n in cfg.node_counts:
-        for seed in cfg.seeds:
-            g = sample_graph(w, n, seed, cfg.sorted_latent)
-            s = scaled_adjacency(g)
-            x = f(g.latent)
-            y = apply_graph_filter(s, chosen.coeffs, x)
-            graph_curve = _strip_interpolant(y, xgrid)
-            disc = _l2(graph_curve, graphon_pred)
-            for k in cfg.orders:
-                records.append(ExperimentRecord(
-                    graphon=label, n=n, seed=seed, order=k,
-                    residual=designs[k].residual,
-                    l2_discrepancy=disc if k == cfg.chosen_order else float("nan")))
-            curves.append(ExperimentCurves(
-                graphon=label, n=n, seed=seed, grid=xgrid, ideal=ideal_curve,
-                graphon_pred=graphon_pred, graph_empirical=graph_curve))
-    return records, curves
+    def run(cell):
+        label, n, seed = cell
+        g = sample_graph(cfg.graphons[label], n, seed, cfg.sorted_latent)
+        y = apply_graph_filter(scaled_adjacency(g), taps[label], f(g.latent))
+        return _strip_interpolant(y, xgrid)
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        return xgrid, list(zip(cells, pool.map(run, cells)))
 
 
 def _run_design_experiment(cfg: ExperimentConfig, ideal: IdealResponse):
-    labels = sorted(cfg.graphons)
-    with ThreadPoolExecutor(max_workers=min(4, len(labels))) as pool:
-        results = list(pool.map(lambda lb: _design_cell(cfg, lb, ideal), labels))
+    """Design residuals over the order sweep for each graphon, plus the
+    graph-versus-graphon curves of the chosen-order design per cell."""
+    if cfg.chosen_order not in cfg.orders:
+        raise ValueError(f"chosen order {cfg.chosen_order} is not one of the "
+                         f"swept orders {tuple(cfg.orders)}")
+    f = input_function(cfg.input_id)
+    ideal_curve = project_apply_resample(ideal.matrix(), f, cfg.panels,
+                                         cfg.resample_points)
+    designs, taps, preds = {}, {}, {}
+    for label in sorted(cfg.graphons):
+        w_op = build_fg_shift(cfg.graphons[label], cfg.panels, cfg.basis)
+        designs[label] = {k: design_filter(w_op, k, ideal, cfg.svd_tol)
+                          for k in cfg.orders}
+        taps[label] = designs[label][cfg.chosen_order].coeffs
+        preds[label] = project_apply_resample(fg_filter_operator(w_op, taps[label]),
+                                              f, cfg.panels, cfg.resample_points)
+
+    xgrid, cells = _filter_cells(cfg, taps)
     records: List[ExperimentRecord] = []
     curves: List[ExperimentCurves] = []
-    for rec, cur in results:
-        records.extend(rec)
-        curves.extend(cur)
+    for (label, n, seed), graph_curve in cells:
+        disc = _l2(graph_curve, preds[label])
+        for k in cfg.orders:
+            records.append(ExperimentRecord(
+                graphon=label, n=n, seed=seed, order=k,
+                residual=designs[label][k].residual,
+                l2_discrepancy=disc if k == cfg.chosen_order else float("nan")))
+        curves.append(ExperimentCurves(
+            graphon=label, n=n, seed=seed, grid=xgrid, ideal=ideal_curve,
+            graphon_pred=preds[label], graph_empirical=graph_curve))
     return records, curves
 
 
 def run_lowpass(cfg: ExperimentConfig):
     """Low-pass design study; default ideal response diag([1,5,5,10,0,...])."""
-    d = cfg.ideal if cfg.ideal is not None else _default_lowpass(cfg.basis)
+    d = cfg.ideal
+    if d is None:
+        d = np.zeros(cfg.basis)
+        d[:4] = [1.0, 5.0, 5.0, 10.0][:cfg.basis]
     return _run_design_experiment(cfg, IdealResponse(d))
 
 
@@ -177,12 +183,6 @@ def run_consensus(cfg: ExperimentConfig):
     d = np.zeros(cfg.basis)
     d[0] = 1.0
     return _run_design_experiment(cfg, IdealResponse(d))
-
-
-def _default_lowpass(basis: int) -> np.ndarray:
-    d = np.zeros(basis)
-    d[: min(4, basis)] = [1.0, 5.0, 5.0, 10.0][: min(4, basis)]
-    return d
 
 
 def run_filter_convergence(cfg: ExperimentConfig):
@@ -194,40 +194,24 @@ def run_filter_convergence(cfg: ExperimentConfig):
     counts = list(cfg.node_counts)
     if sorted(counts) != counts or len(set(counts)) != len(counts):
         raise ValueError("node counts must be strictly increasing")
-    f = cfg.input_function()
-    taps = FilterCoeffs(np.asarray(cfg.filter_taps, dtype=float))
-    _, xgrid = _common_grid(cfg.resample_points)
-
+    f = input_function(cfg.input_id)
+    taps = FilterCoeffs(cfg.filter_taps)
     references = {}
-    for label in sorted(cfg.graphons):
-        w_op = build_fg_shift(cfg.graphons[label], cfg.panels, cfg.basis)
-        h_mat = fg_filter_operator(w_op, taps)
+    for label, w in cfg.graphons.items():
+        h_mat = fg_filter_operator(build_fg_shift(w, cfg.panels, cfg.basis), taps)
         references[label] = project_apply_resample(h_mat, f, cfg.panels,
                                                    cfg.resample_points)
 
-    cells = [(label, n, seed)
-             for label in sorted(cfg.graphons)
-             for n in counts
-             for seed in cfg.seeds]
-
-    def run_cell(cell):
-        label, n, seed = cell
-        g = sample_graph(cfg.graphons[label], n, seed, cfg.sorted_latent)
-        y = apply_graph_filter(scaled_adjacency(g), taps, f(g.latent))
-        disc = _l2(_strip_interpolant(y, xgrid), references[label])
-        return ExperimentRecord(graphon=label, n=n, seed=seed,
-                                order=taps.order, residual=float("nan"),
-                                l2_discrepancy=disc)
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        records = list(pool.map(run_cell, cells))
-
-    means: Dict[Tuple[str, int], float] = {}
-    for label in sorted(cfg.graphons):
-        for n in counts:
-            vals = [r.l2_discrepancy for r in records
-                    if r.graphon == label and r.n == n]
-            means[(label, n)] = float(np.mean(vals))
+    records: List[ExperimentRecord] = []
+    groups: Dict[Tuple[str, int], List[float]] = {}
+    _, cells = _filter_cells(cfg, dict.fromkeys(cfg.graphons, taps))
+    for (label, n, seed), graph_curve in cells:
+        disc = _l2(graph_curve, references[label])
+        records.append(ExperimentRecord(graphon=label, n=n, seed=seed,
+                                        order=taps.order, residual=float("nan"),
+                                        l2_discrepancy=disc))
+        groups.setdefault((label, n), []).append(disc)
+    means = {key: float(np.mean(vals)) for key, vals in groups.items()}
     return records, means
 
 

@@ -57,11 +57,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Square operator matrix in the Chebyshev basis, built with ``panels``
-    quadrature panels (0 when unknown, e.g. read back from CSV)."""
+    """Square operator matrix in the Chebyshev basis."""
 
     entries: np.ndarray
-    panels: int
 
     @property
     def size(self):
@@ -108,7 +106,7 @@ def compute_tilde_w(w: Graphon, p: int, n_pad: int) -> OperatorMatrix:
     entries = np.zeros((n_pad, n_pad))
     entries[:n_live, :n_live] = basis.T @ kernel @ basis
     entries.flags.writeable = False
-    return OperatorMatrix(entries=entries, panels=p)
+    return OperatorMatrix(entries=entries)
 
 
 def build_fg_shift(w: Graphon, p: int, n: int) -> OperatorMatrix:
@@ -122,7 +120,7 @@ def build_fg_shift(w: Graphon, p: int, n: int) -> OperatorMatrix:
     corrected = basis[:, :n].T @ kernel @ (basis @ _weight_correction(p, n))
     entries = corrected / (2.0 * coefficient_normalizers(n))[:, None]
     entries.flags.writeable = False
-    return OperatorMatrix(entries=entries, panels=p)
+    return OperatorMatrix(entries=entries)
 
 
 def fredholm_solve(w: Graphon, f, p: int, n: int, t_points: int) -> np.ndarray:
@@ -154,6 +152,5 @@ def operator_to_csv(o: OperatorMatrix, path) -> None:
     np.savetxt(path, o.entries, delimiter=",")
 
 
-def operator_from_csv(path, panels: int = 0) -> OperatorMatrix:
-    return OperatorMatrix(entries=np.loadtxt(path, delimiter=",", ndmin=2),
-                          panels=panels)
+def operator_from_csv(path) -> OperatorMatrix:
+    return OperatorMatrix(entries=np.loadtxt(path, delimiter=",", ndmin=2))

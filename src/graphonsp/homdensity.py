@@ -15,7 +15,7 @@ from typing import Tuple
 import numpy as np
 
 from .kernels import Graphon
-from .sampling import Graph
+from .sampling import Graph, _coerce_seed
 
 __all__ = [
     "Motif",
@@ -124,7 +124,7 @@ def hom_density_graphon(f: Motif, w: Graphon, samples: int,
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    streams = np.random.SeedSequence(np.uint64(seed)).spawn(
+    streams = np.random.SeedSequence(_coerce_seed(seed)).spawn(
         (samples + _MC_BATCH - 1) // _MC_BATCH)
     total = 0.0
     total_sq = 0.0

@@ -56,6 +56,14 @@ class ShiftOperator:
     entries: np.ndarray
 
 
+def _coerce_seed(seed) -> np.uint64:
+    """The generator seed for an integer in [0, 2**64); ValueError otherwise."""
+    value = int(seed)
+    if value != seed or not 0 <= value < 2 ** 64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return np.uint64(value)
+
+
 def sample_graph(w: Graphon, n: int, seed: int, sorted_latent: bool = True) -> Graph:
     """Draw a graph from the kernel model: n latent uniforms, then one
     Bernoulli trial per pair with parameter W(mu_i, mu_j).
@@ -68,7 +76,7 @@ def sample_graph(w: Graphon, n: int, seed: int, sorted_latent: bool = True) -> G
         raise ValueError("need at least one node")
     if n > MAX_NODES:
         raise ValueError(f"dense storage is limited to {MAX_NODES} nodes, got {n}")
-    rng = np.random.default_rng(np.uint64(seed))
+    rng = np.random.default_rng(_coerce_seed(seed))
     latent = rng.random(n)
     if sorted_latent:
         latent = np.sort(latent)

@@ -135,6 +135,33 @@ class TestDispatch:
         assert dispatch(["design", "--graphon", "er:0.5", "--order", "3",
                          "--ideal", "1,0,0", "--basis", "5"]) == 2
 
+    def test_bad_seeds_exit_2(self, tmp_path, capsys):
+        for seed in ("-1", str(2 ** 64)):
+            assert dispatch(["sample", "--graphon", "er:0.5", "--n", "10",
+                             "--seed", seed, "--out", str(tmp_path / "g.edges")]) == 2
+            assert dispatch(["homdensity", "--graphon", "er:0.5",
+                             "--samples", "10", "--seed", seed]) == 2
+            assert dispatch(["experiment:convergence", "--graphon", "er:0.5",
+                             "--n-values", "10", "--seeds", f"0,{seed}",
+                             "--out-dir", str(tmp_path / "conv")]) == 2
+            err = capsys.readouterr().err
+            assert err.count("error: seed must be an integer") == 3
+        assert not (tmp_path / "g.edges").exists()
+
+    def test_order_outside_swept_orders_exits_2(self, tmp_path, capsys):
+        for study in ("experiment:lowpass", "experiment:consensus"):
+            for order in ("0", "9"):
+                out = tmp_path / f"{study.split(':')[1]}{order}"
+                assert dispatch([study, "--graphon", "er:0.5", "--n", "10",
+                                 "--order", order, "--out-dir", str(out)]) == 2
+                assert "error: chosen order" in capsys.readouterr().err
+                assert not out.exists()
+
+    def test_consensus_has_no_ideal_flag(self, tmp_path, capsys):
+        assert dispatch(["experiment:consensus", "--ideal", "1,0,0,0,0",
+                         "--out-dir", str(tmp_path)]) == 2
+        assert "--ideal" in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self, capsys):
         assert dispatch(["sample", "--bogus", "1"]) == 2
 

@@ -7,9 +7,12 @@ from graphonsp.experiments import (ExperimentConfig, curves_to_csv,
                                    input_function, records_to_csv,
                                    run_consensus, run_filter_convergence,
                                    run_lowpass)
-from graphonsp.filtering import IdealResponse, design_filter
+from graphonsp.chebyshev import project_apply_resample
+from graphonsp.filtering import (IdealResponse, apply_graph_filter,
+                                 design_filter, fg_filter_operator)
 from graphonsp.galerkin import build_fg_shift
 from graphonsp.kernels import erdos_renyi, exp_distance, exp_sum, sin_product
+from graphonsp.sampling import sample_graph, scaled_adjacency
 
 THREE_GRAPHONS = {
     "er:0.5": erdos_renyi(0.5),
@@ -95,6 +98,46 @@ class TestLowpass:
         a, _ = run_lowpass(small_config())
         b, _ = run_lowpass(small_config())
         assert records_equal(a, b)
+
+    def test_each_graphon_uses_its_own_taps_and_reference(self):
+        cfg = small_config(graphons={"er:0.5": erdos_renyi(0.5),
+                                     "expdist:10": exp_distance(10.0)},
+                           node_counts=(120, 250), seeds=(0, 3))
+        records, curves = run_lowpass(cfg)
+        f = input_function(cfg.input_id)
+        d = IdealResponse([1.0, 5.0, 5.0, 10.0, 0.0])
+        xgrid = (np.linspace(-1.0, 1.0, cfg.resample_points) + 1.0) / 2.0
+        taps, preds = {}, {}
+        for label, w in cfg.graphons.items():
+            op = build_fg_shift(w, cfg.panels, cfg.basis)
+            taps[label] = design_filter(op, cfg.chosen_order, d, cfg.svd_tol).coeffs
+            preds[label] = project_apply_resample(
+                fg_filter_operator(op, taps[label]), f, cfg.panels,
+                cfg.resample_points)
+        assert not np.allclose(taps["er:0.5"].h, taps["expdist:10"].h)
+
+        def discrepancy(label, n, seed, tap_label):
+            g = sample_graph(cfg.graphons[label], n, seed)
+            y = apply_graph_filter(scaled_adjacency(g), taps[tap_label],
+                                   f(g.latent))
+            strip = y[np.minimum((xgrid * n).astype(int), n - 1)]
+            return np.sqrt(np.mean((strip - preds[tap_label]) ** 2))
+
+        chosen = [r for r in records if r.order == cfg.chosen_order]
+        assert len(chosen) == len(curves) == 2 * 2 * 2
+        for r, c in zip(chosen, curves):
+            assert (c.graphon, c.n, c.seed) == (r.graphon, r.n, r.seed)
+            np.testing.assert_array_equal(c.graphon_pred, preds[r.graphon])
+            assert r.l2_discrepancy == pytest.approx(
+                discrepancy(r.graphon, r.n, r.seed, r.graphon), abs=1e-12)
+            other = next(lb for lb in cfg.graphons if lb != r.graphon)
+            assert abs(r.l2_discrepancy
+                       - discrepancy(r.graphon, r.n, r.seed, other)) > 1e-3
+
+    def test_chosen_order_outside_swept_orders_rejected(self):
+        for order in (0, 9):
+            with pytest.raises(ValueError, match="chosen order"):
+                run_lowpass(small_config(chosen_order=order))
 
 
 class TestConsensus:

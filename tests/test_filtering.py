@@ -10,8 +10,8 @@ from graphonsp.kernels import erdos_renyi, exp_distance, exp_sum, sin_product
 from graphonsp.sampling import apply_shift, sample_graph, scaled_adjacency
 
 
-def operator_from_entries(entries, panels=10):
-    return OperatorMatrix(entries=np.asarray(entries, dtype=float), panels=panels)
+def operator_from_entries(entries):
+    return OperatorMatrix(entries=np.asarray(entries, dtype=float))
 
 
 class TestApplyGraphFilter:

@@ -227,5 +227,5 @@ class TestOperatorCsv:
         op = build_fg_shift(exp_sum(0.5), 10, 5)
         path = tmp_path / "op.csv"
         operator_to_csv(op, path)
-        back = operator_from_csv(path, panels=10)
+        back = operator_from_csv(path)
         np.testing.assert_allclose(back.entries, op.entries, atol=1e-15)

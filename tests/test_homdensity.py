@@ -124,6 +124,11 @@ class TestHomDensityGraphon:
         b = hom_density_graphon(triangle_motif(), exp_sum(0.5), 5000, seed=9)
         assert a.estimate == b.estimate
 
+    def test_seed_outside_uint64_rejected(self):
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError, match="seed"):
+                hom_density_graphon(edge_motif(), erdos_renyi(0.5), 10, seed=seed)
+
 
 class TestConvergenceTrend:
     def test_er_triangle_gap_decreases_with_n(self):

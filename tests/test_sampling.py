@@ -63,6 +63,15 @@ class TestSampleGraph:
         with pytest.raises(ValueError):
             sample_graph(erdos_renyi(0.5), MAX_NODES + 1, seed=0)
 
+    def test_seed_outside_uint64_rejected(self):
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError, match="seed"):
+                sample_graph(erdos_renyi(0.5), 10, seed=seed)
+
+    def test_largest_seed_accepted(self):
+        g = sample_graph(erdos_renyi(0.5), 10, seed=2 ** 64 - 1)
+        assert g.n == 10
+
     def test_single_node(self):
         g = sample_graph(erdos_renyi(0.5), 1, seed=0)
         assert g.n == 1 and g.edge_count() == 0
