@@ -74,6 +74,8 @@ def input_function(input_id: str):
         return lambda x: np.asarray(x) + np.sin(np.asarray(x))
     if input_id.startswith("const:"):
         v = float(input_id.split(":", 1)[1])
+        if not np.isfinite(v):
+            raise ValueError(f"input {input_id!r}: the constant must be finite")
         return lambda x: np.full_like(np.asarray(x, dtype=float), v)
     raise ValueError(f"unknown input function {input_id!r}")
 

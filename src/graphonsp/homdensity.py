@@ -73,17 +73,27 @@ def path3_motif() -> Motif:
 def hom_count(f: Motif, g: Graph) -> int:
     """Number of adjacency-preserving maps V(F) -> V(G).
 
-    Evaluated as a tensor contraction of adjacency factors over the motif
-    vertices (einsum picks a contraction order), equivalent to brute-force
-    enumeration of all N^K maps.  Isolated motif vertices contribute a
-    free factor of N each.
+    Evaluated as one einsum contraction of adjacency factors over the motif
+    vertices (einsum picks the contraction order), equivalent to brute-force
+    enumeration of all N^K maps.  Isolated motif vertices contribute a free
+    factor of N each.
+
+    Every entry of every intermediate tensor, and the final count, is a sum
+    of nonnegative integer products that counts maps of a subset of the
+    motif vertices, so none exceeds N^K.  When N^K < 2^53 the contraction
+    runs in float64 through BLAS: every partial sum is an integer that
+    float64 represents exactly, so nothing rounds.  Otherwise it runs the
+    same subscripts on Python integers (object dtype), which never wrap or
+    round; this costs one Python multiply-add per term, so a long cycle on
+    a large graph is slow here, but the count is exact.
     """
     if f.k > MAX_MOTIF_NODES:
         raise ValueError(f"motif on {f.k} nodes exceeds the enumeration bound "
                          f"of {MAX_MOTIF_NODES}")
     if not f.edges:
         return g.n ** f.k
-    adj = g.adjacency.astype(np.int64)
+    dtype = np.float64 if g.n ** f.k < 2 ** 53 else object
+    adj = g.adjacency.astype(dtype)
     letters = "abcdefgh"
     touched = set()
     subscripts = []
@@ -92,7 +102,7 @@ def hom_count(f: Motif, g: Graph) -> int:
         subscripts.append(letters[a] + letters[b])
         operands.append(adj)
         touched.update((a, b))
-    ones = np.ones(g.n, dtype=np.int64)
+    ones = np.ones(g.n, dtype=dtype)
     for v in range(f.k):
         if v not in touched:
             subscripts.append(letters[v])
@@ -119,16 +129,19 @@ def hom_density_graphon(f: Motif, w: Graphon, samples: int,
 
     Averages the product of kernel values over the motif edges at i.i.d.
     uniform K-tuples.  Samples are drawn in batches with derived seeds, so
-    batches could run in parallel and merge by weighted average; the
-    sequential evaluation here keeps the estimate deterministic per seed.
+    batches could run in parallel and merge; the sequential evaluation here
+    keeps the estimate deterministic per seed.  Each batch's (count, mean,
+    M2) is merged by Chan's pairwise update, so the variance never comes
+    from the cancelling difference of two large sums.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     streams = np.random.SeedSequence(_coerce_seed(seed)).spawn(
         (samples + _MC_BATCH - 1) // _MC_BATCH)
     total = 0.0
-    total_sq = 0.0
     done = 0
+    mean = 0.0
+    m2 = 0.0
     for stream in streams:
         count = min(_MC_BATCH, samples - done)
         rng = np.random.default_rng(stream)
@@ -137,12 +150,17 @@ def hom_density_graphon(f: Motif, w: Graphon, samples: int,
         for a, b in f.edges:
             vals *= w.eval(pts[:, a], pts[:, b])
         total += float(vals.sum())
-        total_sq += float((vals ** 2).sum())
+        # shifting by one sample makes a constant batch's deviations exactly 0
+        dev = vals - vals[0]
+        dev_mean = float(dev.mean())
+        batch_m2 = float(((dev - dev_mean) ** 2).sum())
+        delta = float(vals[0]) + dev_mean - mean
+        mean += delta * (count / (done + count))
+        m2 += batch_m2 + delta ** 2 * (done * count / (done + count))
         done += count
-    mean = total / samples
     if samples > 1:
-        var = max(total_sq / samples - mean ** 2, 0.0) * samples / (samples - 1)
-        stderr = float(np.sqrt(var / samples))
+        stderr = float(np.sqrt(m2 / (samples - 1) / samples))
     else:
         stderr = float("inf")
-    return GraphonDensityEstimate(estimate=mean, stderr=stderr, samples=samples)
+    return GraphonDensityEstimate(estimate=total / samples, stderr=stderr,
+                                  samples=samples)

@@ -105,6 +105,8 @@ def grid_graphon(grid: np.ndarray, label: str = "grid") -> Graphon:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
         raise ValueError("grid graphon requires a square matrix")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid graphon values must be finite")
     if not np.allclose(grid, grid.T):
         raise ValueError("grid graphon requires a symmetric matrix")
     if grid.min() < 0 or grid.max() > 1:

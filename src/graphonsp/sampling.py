@@ -119,21 +119,48 @@ def graph_to_edgelist(g: Graph, path, latent_path=None) -> None:
         np.savetxt(latent_path, g.latent, delimiter=",")
 
 
+def _edgelist_ints(path, lineno, fields):
+    try:
+        return [int(v) for v in fields]
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: expected integers, got "
+                         f"{' '.join(fields)!r}") from None
+
+
 def graph_from_edgelist(path, latent_path=None) -> Graph:
+    """Read the format ``graph_to_edgelist`` writes, validating every line.
+
+    ValueError names the line of a malformed header, a node count outside
+    1..MAX_NODES, a line that is not two integers, an index outside 0..n-1,
+    a self-loop or a repeated edge.
+    """
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 2 or header[0] != "n":
             raise ValueError(f"malformed edge list header in {path}")
-        n = int(header[1])
+        (n,) = _edgelist_ints(path, 1, header[1:])
+        if not 1 <= n <= MAX_NODES:
+            raise ValueError(f"{path}:1: node count must lie in 1..{MAX_NODES}, "
+                             f"got {n}")
         adj = np.zeros((n, n), dtype=bool)
-        for line in fh:
-            if not line.strip():
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.split()
+            if not fields:
                 continue
-            i, j = map(int, line.split())
+            if len(fields) != 2:
+                raise ValueError(f"{path}:{lineno}: expected two node indices, "
+                                 f"got {line.strip()!r}")
+            i, j = _edgelist_ints(path, lineno, fields)
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"{path}:{lineno}: edge ({i}, {j}) has a node "
+                                 f"outside 0..{n - 1}")
+            if i == j:
+                raise ValueError(f"{path}:{lineno}: self-loop on node {i}")
+            if adj[i, j]:
+                raise ValueError(f"{path}:{lineno}: duplicate edge ({i}, {j})")
             adj[i, j] = adj[j, i] = True
     latent = None
     if latent_path is not None:
         latent = np.loadtxt(latent_path, delimiter=",")
-    np.fill_diagonal(adj, False)
     adj.flags.writeable = False
     return Graph(n=n, adjacency=adj, latent=latent)

@@ -148,6 +148,17 @@ class TestDispatch:
             assert err.count("error: seed must be an integer") == 3
         assert not (tmp_path / "g.edges").exists()
 
+    def test_non_finite_input_exits_2(self, tmp_path, capsys):
+        for study in ("lowpass", "consensus", "convergence"):
+            for value in ("nan", "inf"):
+                out = tmp_path / f"{study}-{value}"
+                size = ["--n-values", "50"] if study == "convergence" else ["--n", "50"]
+                assert dispatch([f"experiment:{study}", "--graphon", "er:0.5",
+                                 *size, "--seeds", "0", "--input", f"const:{value}",
+                                 "--out-dir", str(out)]) == 2
+                assert "error: input 'const:" in capsys.readouterr().err
+                assert not out.exists()
+
     def test_order_outside_swept_orders_exits_2(self, tmp_path, capsys):
         for study in ("experiment:lowpass", "experiment:consensus"):
             for order in ("0", "9"):

@@ -62,6 +62,11 @@ class TestInputFunctions:
         with pytest.raises(ValueError):
             input_function("cosine")
 
+    def test_non_finite_constant_rejected(self):
+        for bad in ("const:nan", "const:inf", "const:-inf"):
+            with pytest.raises(ValueError, match="finite"):
+                input_function(bad)
+
 
 class TestLowpass:
     def test_residual_ordering_across_graphons(self):

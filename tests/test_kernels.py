@@ -83,6 +83,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             grid_graphon(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_grid_must_be_finite(self, bad, tmp_path):
+        grid = np.array([[0.0, bad], [bad, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            grid_graphon(grid)
+        path = tmp_path / "grid.csv"
+        np.savetxt(path, grid, delimiter=",")
+        with pytest.raises(ValueError, match="finite"):
+            grid_from_csv(path)
+
 
 class TestEmpiricalGraphon:
     def test_complete_graph(self):

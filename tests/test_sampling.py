@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphonsp.kernels import erdos_renyi, exp_sum
-from graphonsp.sampling import (MAX_NODES, apply_shift, graph_from_edgelist,
-                                graph_to_edgelist, sample_graph,
-                                scaled_adjacency)
+from graphonsp.sampling import (MAX_NODES, Graph, apply_shift,
+                                graph_from_edgelist, graph_to_edgelist,
+                                sample_graph, scaled_adjacency)
 
 
 def power_iteration_radius(m, iters=200, seed=0):
@@ -152,3 +154,45 @@ class TestEdgelistIO:
         lines = path.read_text().splitlines()
         assert lines[0] == "n 3"
         assert lines[1:] == ["0 1", "0 2", "1 2"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 25).flatmap(
+        lambda n: st.lists(st.booleans(), min_size=n * n, max_size=n * n)
+        .map(lambda bits: np.array(bits).reshape(n, n))))
+    def test_roundtrip_property(self, tmp_path_factory, bits):
+        adj = np.triu(bits, k=1)
+        adj = adj | adj.T
+        g = Graph(n=adj.shape[0], adjacency=adj)
+        path = tmp_path_factory.mktemp("edges") / "g.edges"
+        graph_to_edgelist(g, path)
+        back = graph_from_edgelist(path)
+        assert back.n == g.n
+        np.testing.assert_array_equal(back.adjacency, g.adjacency)
+
+    @pytest.mark.parametrize("text, message", [
+        ("n 3\n0 -1\n", "outside 0..2"),
+        ("n 3\n0 3\n", "outside 0..2"),
+        ("n 3\n1 1\n", "self-loop"),
+        ("n 3\n0 1\n1 0\n", "duplicate edge"),
+        ("n 3\n0 1\n0 1\n", "duplicate edge"),
+        (f"n {MAX_NODES + 1}\n", f"1..{MAX_NODES}"),
+        ("n 100000000\n", f"1..{MAX_NODES}"),
+        ("n 0\n", f"1..{MAX_NODES}"),
+        ("n 2.5\n", "expected integers"),
+        ("m 3\n", "header"),
+        ("n 3\n0 1 2\n", "two node indices"),
+        ("n 3\n0\n", "two node indices"),
+        ("n 3\n0 x\n", "expected integers"),
+        ("n 3\n0 1.0\n", "expected integers"),
+    ])
+    def test_rejects_malformed(self, tmp_path, text, message):
+        path = tmp_path / "bad.edges"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            graph_from_edgelist(path)
+
+    def test_error_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.edges"
+        path.write_text("n 4\n0 1\n\n2 2\n")
+        with pytest.raises(ValueError, match=r"bad\.edges:4: self-loop"):
+            graph_from_edgelist(path)
