@@ -43,11 +43,16 @@ class Graphon:
     grid: np.ndarray = field(default=None, repr=False)
 
     def eval(self, x, y):
-        """Evaluate W(x, y).  Accepts scalars or broadcastable arrays."""
+        """Evaluate W(x, y).  Accepts scalars or broadcastable arrays.
+
+        ValueError if any argument is NaN or lies outside [0, 1].
+        """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        if np.any(x < 0) or np.any(x > 1) or np.any(y < 0) or np.any(y > 1):
-            raise ValueError("graphon arguments must lie in [0, 1]")
+        for arg in (x, y):
+            # written so that NaN fails the check as well
+            if not np.all((arg >= 0) & (arg <= 1)):
+                raise ValueError("graphon arguments must lie in [0, 1]")
         if self.kind == "grid":
             m = self.grid.shape[0]
             i = np.minimum((x * m).astype(int), m - 1)

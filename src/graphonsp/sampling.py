@@ -5,6 +5,12 @@ given 64-bit value, and draws are consumed in a fixed order -- first the
 N latent uniforms, then one uniform per node pair (i, j), i < j, in
 row-major order.  Identical (graphon, n, seed, sorted) inputs therefore
 yield bit-identical graphs.
+
+The pair draws are taken in row blocks of about 2**16 pairs, each block's
+kernel values evaluated at once.  A run of ``random`` calls on one PCG64
+generator yields the same doubles as a single call for their total, and W
+is evaluated per pair, so the blocks change neither the stream order nor
+the graph: it is the one a single draw over all pairs gives.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ __all__ = [
 
 # dense storage keeps the linear algebra simple; the experiments top out at N=2000
 MAX_NODES = 4096
+
+# pairs per row block of sample_graph, so that a block's kernel values and
+# draws (~1 MB) stay in cache
+_BLOCK_PAIRS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -81,12 +91,22 @@ def sample_graph(w: Graphon, n: int, seed: int, sorted_latent: bool = True) -> G
     if sorted_latent:
         latent = np.sort(latent)
     adj = np.zeros((n, n), dtype=bool)
-    if n > 1:
-        iu, ju = np.triu_indices(n, k=1)  # row-major over i < j
-        probs = w.eval(latent[iu], latent[ju])
-        draws = rng.random(iu.size)
-        adj[iu, ju] = draws < probs
-        adj |= adj.T
+    r0 = 0
+    while r0 < n - 1:
+        # Rows [r0, r1) against columns r0+1..n-1.  The block's pairs i < j
+        # form its upper triangle and take their draws in row-major order;
+        # the cells below it (j <= i) get an infinite draw, never an edge.
+        width = n - 1 - r0
+        r1 = min(n - 1, r0 + max(1, _BLOCK_PAIRS // width))
+        probs = w.eval(latent[r0:r1, None], latent[None, r0 + 1:])
+        upper = np.arange(width) >= np.arange(r1 - r0)[:, None]
+        draws = np.full(probs.shape, np.inf)
+        draws[upper] = rng.random(np.count_nonzero(upper))
+        edges = draws < probs
+        adj[r0:r1, r0 + 1:] = edges
+        # the mirror image; OR keeps the pairs this block set above the diagonal
+        adj[r0 + 1:, r0:r1] |= edges.T
+        r0 = r1
     adj.flags.writeable = False
     latent.flags.writeable = False
     return Graph(n=n, adjacency=adj, latent=latent)
@@ -94,7 +114,7 @@ def sample_graph(w: Graphon, n: int, seed: int, sorted_latent: bool = True) -> G
 
 def scaled_adjacency(g: Graph) -> ShiftOperator:
     """S = A/N; symmetric with zero diagonal and entries in [0, 1/N]."""
-    entries = g.adjacency.astype(float) / g.n
+    entries = np.divide(g.adjacency, g.n, dtype=float)
     entries.flags.writeable = False
     return ShiftOperator(n=g.n, entries=entries)
 
@@ -109,12 +129,13 @@ def apply_shift(s: ShiftOperator, x: np.ndarray) -> np.ndarray:
 
 def graph_to_edgelist(g: Graph, path, latent_path=None) -> None:
     """Write 'n <N>' then one 0-based 'i j' line per edge, i < j."""
-    iu, ju = np.triu_indices(g.n, k=1)
-    mask = g.adjacency[iu, ju]
+    names = np.array([str(k) for k in range(g.n)], dtype=object)
     with open(path, "w") as fh:
         fh.write(f"n {g.n}\n")
-        for i, j in zip(iu[mask], ju[mask]):
-            fh.write(f"{i} {j}\n")
+        for i in range(g.n - 1):  # one write per row: its edges to j > i
+            js = names[i + 1:][g.adjacency[i, i + 1:]]
+            if js.size:
+                fh.write(f"{i} " + f"\n{i} ".join(js) + "\n")
     if latent_path is not None and g.latent is not None:
         np.savetxt(latent_path, g.latent, delimiter=",")
 
@@ -132,7 +153,8 @@ def graph_from_edgelist(path, latent_path=None) -> Graph:
 
     ValueError names the line of a malformed header, a node count outside
     1..MAX_NODES, a line that is not two integers, an index outside 0..n-1,
-    a self-loop or a repeated edge.
+    a self-loop or a repeated edge.  It names the latent CSV when that file
+    does not hold exactly n finite values in [0, 1].
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -161,6 +183,13 @@ def graph_from_edgelist(path, latent_path=None) -> Graph:
             adj[i, j] = adj[j, i] = True
     latent = None
     if latent_path is not None:
-        latent = np.loadtxt(latent_path, delimiter=",")
+        latent = np.loadtxt(latent_path, delimiter=",", ndmin=1)
+        if latent.shape != (n,):
+            raise ValueError(f"{latent_path}: expected {n} latent values, one "
+                             f"per line, got shape {latent.shape}")
+        if not np.all(np.isfinite(latent)):
+            raise ValueError(f"{latent_path}: latent values must be finite")
+        if not np.all((latent >= 0) & (latent <= 1)):
+            raise ValueError(f"{latent_path}: latent values must lie in [0, 1]")
     adj.flags.writeable = False
     return Graph(n=n, adjacency=adj, latent=latent)

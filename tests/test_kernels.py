@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,21 @@ class TestEval:
             w.eval(-0.1, 0.5)
         with pytest.raises(ValueError):
             w.eval(0.5, 1.1)
+
+    @pytest.mark.parametrize("w", [
+        erdos_renyi(0.5), sin_product(0.5, 0.5, 3.5), exp_distance(10.0),
+        grid_graphon(np.array([[0.0, 1.0], [1.0, 0.0]])),
+    ], ids=lambda w: w.label)
+    @pytest.mark.parametrize("x, y", [
+        (np.nan, 0.2), (0.2, np.nan),
+        (np.array([0.1, np.nan, 0.3]), 0.5),
+        (np.array([[0.1], [0.9]]), np.array([[0.2, np.nan]])),
+    ])
+    def test_nan_rejected(self, w, x, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                w.eval(x, y)
 
     def test_grid_cell_lookup_half_open(self):
         w = grid_graphon(np.array([[0.0, 1.0], [1.0, 0.0]]))

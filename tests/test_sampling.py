@@ -3,10 +3,63 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphonsp.kernels import erdos_renyi, exp_sum
+from graphonsp import sampling
+from graphonsp.cli import dispatch
+from graphonsp.kernels import (empirical_graphon, erdos_renyi, exp_distance,
+                               exp_sum, grid_graphon, sin_product)
 from graphonsp.sampling import (MAX_NODES, Graph, apply_shift,
                                 graph_from_edgelist, graph_to_edgelist,
                                 sample_graph, scaled_adjacency)
+
+
+def reference_sample(w, n, seed, sorted_latent=True):
+    """The one-shot sampler: all pairs i < j at once through triu_indices."""
+    rng = np.random.default_rng(np.uint64(seed))
+    latent = rng.random(n)
+    if sorted_latent:
+        latent = np.sort(latent)
+    adj = np.zeros((n, n), dtype=bool)
+    if n > 1:
+        iu, ju = np.triu_indices(n, k=1)
+        probs = w.eval(latent[iu], latent[ju])
+        draws = rng.random(iu.size)
+        adj[iu, ju] = draws < probs
+        adj |= adj.T
+    return adj, latent
+
+
+def reference_edgelist(adj) -> str:
+    """The per-edge writer: 'n <N>' then one 'i j' line per edge, i < j."""
+    n = adj.shape[0]
+    iu, ju = np.triu_indices(n, k=1)
+    mask = adj[iu, ju]
+    lines = [f"n {n}\n"]
+    for i, j in zip(iu[mask], ju[mask]):
+        lines.append(f"{i} {j}\n")
+    return "".join(lines)
+
+
+def _pin_grid():
+    rng = np.random.default_rng(5)
+    cells = rng.random((7, 7))
+    return grid_graphon((cells + cells.T) / 2, label="grid7")
+
+
+PIN_KERNELS = {
+    "er": erdos_renyi(0.3),
+    "expsum": exp_sum(2.0),
+    "sinprod": sin_product(0.5, 0.5, 3.5),
+    "expdist": exp_distance(10.0),
+    "grid": _pin_grid(),
+    "empirical": empirical_graphon(Graph(
+        n=5, adjacency=np.array([[0, 1, 1, 0, 0], [1, 0, 0, 1, 0],
+                                 [1, 0, 0, 1, 1], [0, 1, 1, 0, 0],
+                                 [0, 0, 1, 0, 0]], dtype=bool))),
+}
+
+# 257 is the largest N whose pairs fit one row block of 2**16 pairs, 258 the
+# smallest that needs two; 1600 is the convergence study's largest N.
+PIN_SIZES = (1, 2, 3, 17, 257, 258, 1600)
 
 
 def power_iteration_radius(m, iters=200, seed=0):
@@ -77,6 +130,39 @@ class TestSampleGraph:
     def test_single_node(self):
         g = sample_graph(erdos_renyi(0.5), 1, seed=0)
         assert g.n == 1 and g.edge_count() == 0
+
+
+class TestBitIdentity:
+    """sample_graph and graph_to_edgelist against the one-shot references."""
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    @pytest.mark.parametrize("sorted_latent", [True, False])
+    @pytest.mark.parametrize("n", PIN_SIZES)
+    @pytest.mark.parametrize("kind", sorted(PIN_KERNELS))
+    def test_matches_one_shot_sampler(self, kind, n, sorted_latent, seed):
+        w = PIN_KERNELS[kind]
+        g = sample_graph(w, n, seed, sorted_latent=sorted_latent)
+        adj, latent = reference_sample(w, n, seed, sorted_latent)
+        assert np.array_equal(g.adjacency, adj)
+        assert np.array_equal(g.latent, latent)
+
+    @pytest.mark.parametrize("block", [1, 5, 16, 100])
+    def test_any_block_size_gives_the_same_graph(self, monkeypatch, block):
+        monkeypatch.setattr(sampling, "_BLOCK_PAIRS", block)
+        w = PIN_KERNELS["sinprod"]
+        for n in (2, 3, 11, 17, 40):
+            for sorted_latent in (True, False):
+                g = sample_graph(w, n, 9, sorted_latent=sorted_latent)
+                adj, _ = reference_sample(w, n, 9, sorted_latent)
+                assert np.array_equal(g.adjacency, adj)
+
+    def test_cli_sample_matches_reference_bytes(self, tmp_path):
+        out = tmp_path / "g.edges"
+        code = dispatch(["sample", "--graphon", "sinprod:0.5,0.5,3.5",
+                         "--n", "500", "--seed", "7", "--out", str(out)])
+        assert code == 0
+        adj, _ = reference_sample(sin_product(0.5, 0.5, 3.5), 500, 7)
+        assert out.read_bytes() == reference_edgelist(adj).encode()
 
 
 class TestScaledAdjacency:
@@ -190,6 +276,30 @@ class TestEdgelistIO:
         path.write_text(text)
         with pytest.raises(ValueError, match=message):
             graph_from_edgelist(path)
+
+    def test_single_node_roundtrip_keeps_latent_1d(self, tmp_path):
+        g = sample_graph(exp_sum(0.5), 1, seed=4)
+        path, lpath = tmp_path / "g.edges", tmp_path / "latent.csv"
+        graph_to_edgelist(g, path, latent_path=lpath)
+        back = graph_from_edgelist(path, latent_path=lpath)
+        assert back.n == 1 and back.latent.shape == (1,)
+        np.testing.assert_array_equal(back.latent, g.latent)
+
+    @pytest.mark.parametrize("latent, message", [
+        ("0.1\n0.2\n0.3\n0.4\n0.5\n", r"expected 3 latent values"),
+        ("0.1\n0.2\n", r"expected 3 latent values"),
+        ("0.1,0.2\n0.3,0.4\n0.5,0.6\n", r"expected 3 latent values"),
+        ("0.1\nnan\n0.3\n", "finite"),
+        ("0.1\ninf\n0.3\n", "finite"),
+        ("0.1\n2.0\n0.3\n", r"lie in \[0, 1\]"),
+        ("-1.0\n0.2\n0.3\n", r"lie in \[0, 1\]"),
+    ])
+    def test_rejects_bad_latent(self, tmp_path, latent, message):
+        path, lpath = tmp_path / "g.edges", tmp_path / "latent.csv"
+        path.write_text("n 3\n0 1\n")
+        lpath.write_text(latent)
+        with pytest.raises(ValueError, match=r"latent\.csv: .*" + message):
+            graph_from_edgelist(path, latent_path=lpath)
 
     def test_error_names_the_line(self, tmp_path):
         path = tmp_path / "bad.edges"
