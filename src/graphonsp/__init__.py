@@ -8,8 +8,8 @@ from .sampling import (Graph, ShiftOperator, apply_shift, sample_graph,
 from .steps import (StepSignal, apply_empirical_operator, lift,
                     step_operator_matrix, unlift)
 from .chebyshev import (ChebCoeffVector, QuadratureRule, cheb_eval,
-                        map_domain, map_domain_inverse, project_signal,
-                        quad_integrate, resample)
+                        map_domain_inverse, project_signal, quad_integrate,
+                        resample)
 from .galerkin import (OperatorMatrix, build_fg_shift, compute_tilde_w,
                        fredholm_solve, resolvent_eigs)
 from .filtering import (DesignResult, FilterCoeffs, IdealResponse,

@@ -31,10 +31,7 @@ __all__ = [
     "project_signal",
     "resample",
     "project_apply_resample",
-    "map_domain",
     "map_domain_inverse",
-    "coeffs_to_csv",
-    "coeffs_from_csv",
 ]
 
 @dataclass(frozen=True)
@@ -134,34 +131,11 @@ def project_apply_resample(matrix: np.ndarray, f, p: int, t_points: int) -> np.n
     return resample(matrix @ coeffs.coeffs, t_points)
 
 
-def map_domain(x):
-    """u = 2x - 1, mapping [0,1] onto [-1,1]."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0) or np.any(x > 1):
-        raise ValueError("map_domain expects arguments in [0, 1]")
-    out = 2.0 * x - 1.0
-    return float(out) if out.ndim == 0 else out
-
-
 def map_domain_inverse(u):
-    """x = (u + 1)/2, mapping [-1,1] back onto [0,1]."""
+    """x = (u + 1)/2, mapping [-1,1] onto [0,1]."""
     u = np.asarray(u, dtype=float)
     if np.any(u < -1) or np.any(u > 1):
         raise ValueError("map_domain_inverse expects arguments in [-1, 1]")
     out = (u + 1.0) / 2.0
     return float(out) if out.ndim == 0 else out
 
-
-def coeffs_to_csv(g: ChebCoeffVector, path) -> None:
-    """Single CSV row with header c0,c1,..."""
-    header = ",".join(f"c{i}" for i in range(len(g)))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        fh.write(",".join(repr(float(v)) for v in g.coeffs) + "\n")
-
-
-def coeffs_from_csv(path) -> ChebCoeffVector:
-    with open(path) as fh:
-        fh.readline()
-        values = [float(v) for v in fh.readline().split(",")]
-    return ChebCoeffVector(coeffs=np.asarray(values))

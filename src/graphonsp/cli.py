@@ -120,10 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design", help="design a polynomial graphon filter")
     p.add_argument("--graphon", required=True)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--ideal", required=True, help="comma list, the diagonal of D")
+    p.add_argument("--ideal", required=True,
+                   help="comma list, the diagonal of D; its length is the basis size")
     p.add_argument("--panels", type=int, default=10)
-    p.add_argument("--basis", type=int, default=None,
-                   help="defaults to the length of --ideal")
     p.add_argument("--svd-tol", type=float, default=1e-8)
     p.add_argument("--response-out", default=None,
                    help="optional CSV of the frequency response")
@@ -211,12 +210,7 @@ def _run(args) -> int:
     if args.command == "design":
         w = parse_graphon_spec(args.graphon)
         ideal = _parse_floats(args.ideal)
-        basis = args.basis if args.basis is not None else len(ideal)
-        if len(ideal) != basis:
-            print(f"error: ideal response length {len(ideal)} != basis {basis}",
-                  file=sys.stderr)
-            return 2
-        op = galerkin.build_fg_shift(w, args.panels, basis)
+        op = galerkin.build_fg_shift(w, args.panels, len(ideal))
         result = filtering.design_filter(op, args.order,
                                          filtering.IdealResponse(ideal),
                                          rel_tol=args.svd_tol)
@@ -225,7 +219,7 @@ def _run(args) -> int:
             return 1
         print(json.dumps({"h": [float(v) for v in result.coeffs.h],
                           "residual": result.residual,
-                          "rank_used": result.rank_used}))
+                          "rank_used": result.rank_used}, allow_nan=False))
         if args.response_out:
             h_mat = filtering.fg_filter_operator(op, result.coeffs)
             np.savetxt(args.response_out,
@@ -236,8 +230,10 @@ def _run(args) -> int:
         motif = parse_motif_spec(args.motif)
         w = parse_graphon_spec(args.graphon)
         est = homdensity.hom_density_graphon(motif, w, args.samples, args.seed)
-        print(json.dumps({"estimate": est.estimate, "stderr": est.stderr,
-                          "samples": est.samples}))
+        # JSON has no infinity: one sample gives no standard error
+        stderr = est.stderr if np.isfinite(est.stderr) else None
+        print(json.dumps({"estimate": est.estimate, "stderr": stderr,
+                          "samples": est.samples}, allow_nan=False))
         return 0
 
     if args.command.startswith("experiment:"):

@@ -26,10 +26,11 @@ from .chebyshev import map_domain_inverse, project_apply_resample
 from .filtering import (FilterCoeffs, IdealResponse, apply_graph_filter,
                         design_filter, fg_filter_operator)
 from .galerkin import build_fg_shift
-from .kernels import Graphon
+from .kernels import Graphon, _cell_index
 from .sampling import sample_graph, scaled_adjacency
 
 __all__ = [
+    "DESIGN_ORDERS",
     "ExperimentConfig",
     "ExperimentRecord",
     "ExperimentCurves",
@@ -40,6 +41,9 @@ __all__ = [
     "curves_to_csv",
 ]
 
+# The design studies fit every order in this sweep.
+DESIGN_ORDERS = tuple(range(1, 9))
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -47,14 +51,13 @@ class ExperimentConfig:
 
     ``graphons`` maps labels to kernels.  ``ideal`` is the ideal response
     diagonal (length = basis size) used by the design experiments, which
-    report curves at ``chosen_order``, one of ``orders``; ``filter_taps``
-    is the fixed tap vector used by the convergence sweep.
+    report curves at ``chosen_order``, one of ``DESIGN_ORDERS``;
+    ``filter_taps`` is the fixed tap vector used by the convergence sweep.
     """
 
     graphons: Dict[str, Graphon]
     node_counts: Sequence[int] = (2000,)
     seeds: Sequence[int] = (0, 1, 2, 3, 4)
-    orders: Sequence[int] = tuple(range(1, 9))
     chosen_order: int = 5
     ideal: Optional[Sequence[float]] = None
     filter_taps: Sequence[float] = (0.5, 0.3, 0.2)
@@ -63,7 +66,6 @@ class ExperimentConfig:
     input_id: str = "x_plus_sin"
     resample_points: int = 200
     sorted_latent: bool = True
-    svd_tol: float = 1e-8
 
 
 def input_function(input_id: str):
@@ -103,12 +105,6 @@ class ExperimentCurves:
     graph_empirical: np.ndarray
 
 
-def _strip_interpolant(values: np.ndarray, xgrid: np.ndarray) -> np.ndarray:
-    n = len(values)
-    idx = np.minimum((xgrid * n).astype(int), n - 1)
-    return values[idx]
-
-
 def _l2(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
@@ -131,7 +127,7 @@ def _filter_cells(cfg: ExperimentConfig, taps: Dict[str, FilterCoeffs]):
         label, n, seed = cell
         g = sample_graph(cfg.graphons[label], n, seed, cfg.sorted_latent)
         y = apply_graph_filter(scaled_adjacency(g), taps[label], f(g.latent))
-        return _strip_interpolant(y, xgrid)
+        return y[_cell_index(xgrid, n)]
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         return xgrid, list(zip(cells, pool.map(run, cells)))
@@ -140,17 +136,17 @@ def _filter_cells(cfg: ExperimentConfig, taps: Dict[str, FilterCoeffs]):
 def _run_design_experiment(cfg: ExperimentConfig, ideal: IdealResponse):
     """Design residuals over the order sweep for each graphon, plus the
     graph-versus-graphon curves of the chosen-order design per cell."""
-    if cfg.chosen_order not in cfg.orders:
+    if cfg.chosen_order not in DESIGN_ORDERS:
         raise ValueError(f"chosen order {cfg.chosen_order} is not one of the "
-                         f"swept orders {tuple(cfg.orders)}")
+                         f"swept orders {DESIGN_ORDERS}")
     f = input_function(cfg.input_id)
     ideal_curve = project_apply_resample(ideal.matrix(), f, cfg.panels,
                                          cfg.resample_points)
     designs, taps, preds = {}, {}, {}
     for label in sorted(cfg.graphons):
         w_op = build_fg_shift(cfg.graphons[label], cfg.panels, cfg.basis)
-        designs[label] = {k: design_filter(w_op, k, ideal, cfg.svd_tol)
-                          for k in cfg.orders}
+        designs[label] = {k: design_filter(w_op, k, ideal)
+                          for k in DESIGN_ORDERS}
         taps[label] = designs[label][cfg.chosen_order].coeffs
         preds[label] = project_apply_resample(fg_filter_operator(w_op, taps[label]),
                                               f, cfg.panels, cfg.resample_points)
@@ -160,7 +156,7 @@ def _run_design_experiment(cfg: ExperimentConfig, ideal: IdealResponse):
     curves: List[ExperimentCurves] = []
     for (label, n, seed), graph_curve in cells:
         disc = _l2(graph_curve, preds[label])
-        for k in cfg.orders:
+        for k in DESIGN_ORDERS:
             records.append(ExperimentRecord(
                 graphon=label, n=n, seed=seed, order=k,
                 residual=designs[label][k].residual,
@@ -183,7 +179,7 @@ def run_lowpass(cfg: ExperimentConfig):
 def run_consensus(cfg: ExperimentConfig):
     """Consensus design study: preserve only the constant frequency."""
     d = np.zeros(cfg.basis)
-    d[0] = 1.0
+    d[:1] = 1.0
     return _run_design_experiment(cfg, IdealResponse(d))
 
 

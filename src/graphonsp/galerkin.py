@@ -112,6 +112,8 @@ def compute_tilde_w(w: Graphon, p: int, n_pad: int) -> OperatorMatrix:
 def build_fg_shift(w: Graphon, p: int, n: int) -> OperatorMatrix:
     """Fourier-Galerkin shift operator: tilde sums with the weight correction
     C folded in, then normalization onto unit-series coefficients."""
+    if n < 1:
+        raise ValueError(f"basis size must be at least 1, got {n}")
     if n > p + 1:
         raise ValueError(
             f"{p} panels cannot resolve a basis of size {n} (aliasing); "

@@ -27,17 +27,26 @@ __all__ = [
 ]
 
 
+def _cell_index(t, m: int):
+    """Index of the cell holding t when [0, 1] is cut into m equal cells.
+
+    Cell i is [i/m, (i+1)/m); the last cell is closed at 1.0, so every t in
+    [0, 1] has a cell.
+    """
+    return np.minimum((t * m).astype(int), m - 1)
+
+
 @dataclass(frozen=True)
 class Graphon:
     """Symmetric kernel W : [0,1]^2 -> [0,1].
 
-    ``kind`` is "analytic" (``func`` holds a vectorized closure) or "grid"
-    (``grid`` holds a square symmetric matrix of cell values).  Grid cells
-    are half-open, [i/M, (i+1)/M) in each coordinate, with the final cell
-    closed at 1.0 so evaluation is total on the square.
+    Either analytic (``func`` holds a vectorized closure) or a grid
+    (``grid`` holds a square symmetric M x M matrix of cell values, and
+    ``func`` is None).  A grid graphon takes the value of the cell pair
+    holding (x, y), where cell i is [i/M, (i+1)/M) in each coordinate and
+    the last cell is closed at 1.0, so evaluation is total on the square.
     """
 
-    kind: str
     label: str
     func: object = None
     grid: np.ndarray = field(default=None, repr=False)
@@ -53,56 +62,45 @@ class Graphon:
             # written so that NaN fails the check as well
             if not np.all((arg >= 0) & (arg <= 1)):
                 raise ValueError("graphon arguments must lie in [0, 1]")
-        if self.kind == "grid":
+        if self.grid is not None:
             m = self.grid.shape[0]
-            i = np.minimum((x * m).astype(int), m - 1)
-            j = np.minimum((y * m).astype(int), m - 1)
-            out = self.grid[i, j]
+            out = self.grid[_cell_index(x, m), _cell_index(y, m)]
         else:
             out = self.func(x, y)
         if np.ndim(out) == 0 and np.ndim(x) == 0 and np.ndim(y) == 0:
             return float(out)
         return np.broadcast_to(out, np.broadcast_shapes(x.shape, y.shape)).astype(float)
 
-    @property
-    def side(self):
-        """Grid side M, or None for analytic kernels."""
-        return None if self.grid is None else self.grid.shape[0]
-
-
-def _analytic(label, func):
-    return Graphon(kind="analytic", label=label, func=func)
-
 
 def erdos_renyi(p: float) -> Graphon:
     """Constant kernel W(x,y) = p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"er: edge probability must be in [0,1], got {p}")
-    return _analytic(f"er:{p:g}", lambda x, y: np.broadcast_to(float(p), np.broadcast_shapes(np.shape(x), np.shape(y))))
+    return Graphon(f"er:{p:g}", lambda x, y: np.broadcast_to(float(p), np.broadcast_shapes(np.shape(x), np.shape(y))))
 
 
 def sin_product(a: float, b: float, c: float) -> Graphon:
     """W(x,y) = a + b*sin(c*pi*x*y).  Requires b >= 0, a-b >= 0, a+b <= 1."""
     if b < 0 or a - b < 0 or a + b > 1:
         raise ValueError(f"sinprod: need b >= 0, a-b >= 0 and a+b <= 1, got a={a}, b={b}")
-    return _analytic(f"sinprod:{a:g},{b:g},{c:g}",
-                     lambda x, y: a + b * np.sin(c * np.pi * np.asarray(x) * np.asarray(y)))
+    return Graphon(f"sinprod:{a:g},{b:g},{c:g}",
+                   lambda x, y: a + b * np.sin(c * np.pi * np.asarray(x) * np.asarray(y)))
 
 
 def exp_sum(alpha: float) -> Graphon:
     """W(x,y) = exp(-alpha*(x+y)).  Requires alpha >= 0."""
     if alpha < 0:
         raise ValueError(f"expsum: decay rate must be nonnegative, got {alpha}")
-    return _analytic(f"expsum:{alpha:g}",
-                     lambda x, y: np.exp(-alpha * (np.asarray(x) + np.asarray(y))))
+    return Graphon(f"expsum:{alpha:g}",
+                   lambda x, y: np.exp(-alpha * (np.asarray(x) + np.asarray(y))))
 
 
 def exp_distance(alpha: float) -> Graphon:
     """W(x,y) = exp(-alpha*|x-y|).  Requires alpha >= 0."""
     if alpha < 0:
         raise ValueError(f"expdist: decay rate must be nonnegative, got {alpha}")
-    return _analytic(f"expdist:{alpha:g}",
-                     lambda x, y: np.exp(-alpha * np.abs(np.asarray(x) - np.asarray(y))))
+    return Graphon(f"expdist:{alpha:g}",
+                   lambda x, y: np.exp(-alpha * np.abs(np.asarray(x) - np.asarray(y))))
 
 
 def grid_graphon(grid: np.ndarray, label: str = "grid") -> Graphon:
@@ -118,7 +116,7 @@ def grid_graphon(grid: np.ndarray, label: str = "grid") -> Graphon:
         raise ValueError("grid graphon values must lie in [0, 1]")
     g = grid.copy()
     g.flags.writeable = False
-    return Graphon(kind="grid", label=label, grid=g)
+    return Graphon(label=label, grid=g)
 
 
 def empirical_graphon(graph) -> Graphon:
@@ -148,7 +146,7 @@ def l2_distance(w1: Graphon, w2: Graphon, grid_side: int) -> float:
 
 def grid_to_csv(w: Graphon, path) -> None:
     """Write a grid graphon as a dense CSV of reals, one row per line, no header."""
-    if w.kind != "grid":
+    if w.grid is None:
         raise ValueError("only grid graphons serialize to CSV")
     np.savetxt(path, w.grid, delimiter=",")
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from graphonsp.chebyshev import (ChebCoeffVector, QuadratureRule, cheb_eval,
-                                 coeffs_from_csv, coeffs_to_csv, map_domain,
                                  map_domain_inverse, project_signal,
                                  quad_integrate, resample)
 
@@ -144,26 +143,16 @@ class TestResample:
 
 class TestDomainMap:
     def test_endpoints_and_middle(self):
-        assert map_domain(0.0) == -1.0
-        assert map_domain(1.0) == 1.0
-        assert map_domain(0.5) == 0.0
+        assert map_domain_inverse(-1.0) == 0.0
+        assert map_domain_inverse(1.0) == 1.0
+        assert map_domain_inverse(0.0) == 0.5
 
     def test_composition_is_identity(self):
         x = np.linspace(0, 1, 33)
-        np.testing.assert_allclose(map_domain_inverse(map_domain(x)), x)
+        np.testing.assert_allclose(map_domain_inverse(2.0 * x - 1.0), x)
 
     def test_range_guards(self):
         with pytest.raises(ValueError):
-            map_domain(1.5)
-        with pytest.raises(ValueError):
             map_domain_inverse(-1.5)
-
-
-class TestCsv:
-    def test_roundtrip(self, tmp_path):
-        c = ChebCoeffVector(np.array([0.25, -1.5, 3.0]))
-        path = tmp_path / "coeffs.csv"
-        coeffs_to_csv(c, path)
-        assert path.read_text().splitlines()[0] == "c0,c1,c2"
-        back = coeffs_from_csv(path)
-        np.testing.assert_array_equal(back.coeffs, c.coeffs)
+        with pytest.raises(ValueError):
+            map_domain_inverse(1.5)

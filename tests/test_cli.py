@@ -109,6 +109,16 @@ class TestDispatch:
         assert payload["estimate"] == pytest.approx(0.125)
         assert payload["samples"] == 1000
 
+    def test_homdensity_single_sample_is_strict_json(self, capsys):
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        assert dispatch(["homdensity", "--graphon", "expsum:0.5",
+                         "--samples", "1", "--seed", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["stderr"] is None
+        assert payload["samples"] == 1
+
     def test_experiment_convergence_writes_csv(self, tmp_path, capsys):
         code = dispatch(["experiment:convergence", "--graphon", "expsum:0.5",
                          "--n-values", "50,100", "--seeds", "0,1",
@@ -132,8 +142,35 @@ class TestDispatch:
         assert dispatch(["solve", "--graphon", "er:0.5", "--panels", "4",
                          "--basis", "9", "--input", "y",
                          "--out", str(tmp_path / "s.csv")]) == 2
+        # design takes its basis size from --ideal and has no --basis flag
         assert dispatch(["design", "--graphon", "er:0.5", "--order", "3",
                          "--ideal", "1,0,0", "--basis", "5"]) == 2
+        assert "unrecognized arguments: --basis 5" in capsys.readouterr().err
+
+    def test_basis_below_one_exits_2(self, tmp_path, capsys):
+        commands = {
+            "fg-operator": ["--graphon", "er:0.5", "--out", str(tmp_path / "op.csv")],
+            "solve": ["--graphon", "er:0.5", "--out", str(tmp_path / "s.csv")],
+            "experiment:convergence": ["--graphon", "er:0.5", "--n-values", "10",
+                                       "--seeds", "0", "--out-dir", str(tmp_path / "c")],
+        }
+        for command, args in commands.items():
+            for basis in ("0", "-2"):
+                assert dispatch([command, *args, "--basis", basis]) == 2
+                err = capsys.readouterr().err
+                assert "error: basis size must be at least 1" in err
+                assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_design_studies_basis_below_one_exit_2(self, tmp_path, capsys):
+        for study in ("lowpass", "consensus"):
+            for basis in ("0", "-2"):
+                out = tmp_path / f"{study}{basis}"
+                assert dispatch([f"experiment:{study}", "--graphon", "er:0.5",
+                                 "--n", "10", "--basis", basis,
+                                 "--out-dir", str(out)]) == 2
+                assert "error:" in capsys.readouterr().err
+                assert not out.exists()
 
     def test_bad_seeds_exit_2(self, tmp_path, capsys):
         for seed in ("-1", str(2 ** 64)):

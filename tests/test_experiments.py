@@ -3,10 +3,10 @@ import csv
 import numpy as np
 import pytest
 
-from graphonsp.experiments import (ExperimentConfig, curves_to_csv,
-                                   input_function, records_to_csv,
-                                   run_consensus, run_filter_convergence,
-                                   run_lowpass)
+from graphonsp.experiments import (DESIGN_ORDERS, ExperimentConfig,
+                                   curves_to_csv, input_function,
+                                   records_to_csv, run_consensus,
+                                   run_filter_convergence, run_lowpass)
 from graphonsp.chebyshev import project_apply_resample
 from graphonsp.filtering import (IdealResponse, apply_graph_filter,
                                  design_filter, fg_filter_operator)
@@ -23,7 +23,7 @@ THREE_GRAPHONS = {
 
 def small_config(**overrides):
     defaults = dict(graphons=THREE_GRAPHONS, node_counts=(300,), seeds=(0,),
-                    orders=tuple(range(1, 9)), chosen_order=5)
+                    chosen_order=5)
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
 
@@ -93,8 +93,8 @@ class TestLowpass:
         d = IdealResponse([1.0, 5.0, 5.0, 10.0, 0.0])
         for label in THREE_GRAPHONS:
             op = build_fg_shift(cfg.graphons[label], cfg.panels, cfg.basis)
-            for order in cfg.orders:
-                expected = design_filter(op, order, d, cfg.svd_tol).residual
+            for order in DESIGN_ORDERS:
+                expected = design_filter(op, order, d).residual
                 got = [r.residual for r in records
                        if r.graphon == label and r.order == order]
                 assert all(abs(g - expected) < 1e-12 for g in got)
@@ -115,7 +115,7 @@ class TestLowpass:
         taps, preds = {}, {}
         for label, w in cfg.graphons.items():
             op = build_fg_shift(w, cfg.panels, cfg.basis)
-            taps[label] = design_filter(op, cfg.chosen_order, d, cfg.svd_tol).coeffs
+            taps[label] = design_filter(op, cfg.chosen_order, d).coeffs
             preds[label] = project_apply_resample(
                 fg_filter_operator(op, taps[label]), f, cfg.panels,
                 cfg.resample_points)

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphonsp.kernels import (empirical_graphon, erdos_renyi,
                                exp_distance, exp_sum, grid_from_csv,
@@ -183,6 +185,19 @@ class TestSerialization:
         grid_to_csv(w, path)
         back = grid_from_csv(path)
         np.testing.assert_array_equal(back.grid, w.grid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12).flatmap(
+        lambda m: st.lists(st.floats(0.0, 1.0), min_size=m * m, max_size=m * m)
+        .map(lambda values: np.array(values).reshape(m, m))))
+    def test_grid_roundtrip_property(self, tmp_path_factory, values):
+        # the CSV text holds every double of a grid exactly
+        grid = np.triu(values) + np.triu(values, k=1).T
+        w = grid_graphon(grid)
+        path = tmp_path_factory.mktemp("grid") / "grid.csv"
+        grid_to_csv(w, path)
+        back = grid_from_csv(path)
+        assert back.grid.tobytes() == w.grid.tobytes()
 
     def test_analytic_not_serializable(self, tmp_path):
         with pytest.raises(ValueError):

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphonsp.kernels import empirical_graphon, erdos_renyi, exp_distance
-from graphonsp.sampling import apply_shift, sample_graph, scaled_adjacency
+from graphonsp.kernels import (empirical_graphon, erdos_renyi, exp_distance,
+                               grid_graphon)
+from graphonsp.sampling import (Graph, apply_shift, sample_graph,
+                                scaled_adjacency)
 from graphonsp.steps import (apply_empirical_operator, lift,
                              step_operator_matrix, unlift)
 
@@ -36,10 +40,15 @@ class TestLiftUnlift:
         with pytest.raises(ValueError):
             lift(np.array([]))
 
-    def test_symmetric_domain(self):
-        f = lift(np.array([1.0, 0.0]), domain="symmetric")
-        assert f.evaluate(-1.0) == 2.0
-        assert f.evaluate(0.5) == 0.0
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=50))
+    def test_roundtrip_is_bit_exact(self, values):
+        x = np.array(values)
+        assert unlift(lift(x)).tobytes() == x.tobytes()
+
+    def test_nan_point_rejected(self):
+        with pytest.raises(ValueError):
+            lift(np.ones(3)).evaluate(np.nan)
 
     def test_bijection_on_random_vectors(self):
         rng = np.random.default_rng(8)
@@ -119,3 +128,45 @@ class TestEmpiricalOperator:
             f = apply_empirical_operator(we, f)
             y = apply_shift(s, y)
             np.testing.assert_allclose(unlift(f), y, atol=1e-13)
+
+
+def graphs_with_signals(max_n):
+    """A random simple graph on 1..max_n nodes with a signal in [-1, 1]^n."""
+    def build(n):
+        bits = st.lists(st.booleans(), min_size=n * n, max_size=n * n)
+        signal = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+        return st.tuples(bits, signal)
+
+    def to_graph(pair):
+        bits, signal = pair
+        n = len(signal)
+        upper = np.triu(np.array(bits).reshape(n, n), k=1)
+        return Graph(n=n, adjacency=upper | upper.T), np.array(signal)
+
+    return st.integers(1, max_n).flatmap(build).map(to_graph)
+
+
+class TestProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(graphs_with_signals(max_n=24))
+    def test_lifted_operator_equals_scaled_adjacency(self, graph_signal):
+        g, x = graph_signal
+        lifted = unlift(apply_empirical_operator(empirical_graphon(g), lift(x)))
+        np.testing.assert_allclose(lifted, apply_shift(scaled_adjacency(g), x),
+                                   rtol=0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 400))
+    def test_grid_and_step_signal_share_the_cell_rule(self, m):
+        # column 0 of the grid and the coefficients both name the cell index,
+        # so each side reports the cell it picked for t
+        grid = np.zeros((m, m))
+        grid[:, 0] = grid[0, :] = np.arange(m) / m
+        w = grid_graphon(grid)
+        f = lift(np.arange(m, dtype=float))
+        t = np.arange(m + 1) / m
+        t = np.concatenate([t, np.nextafter(t[1:-1], 0.0), np.nextafter(t[1:-1], 1.0)])
+        grid_cell = np.rint(w.eval(t, 0.0) * m).astype(int)
+        step_cell = f.evaluate(t) / m
+        np.testing.assert_array_equal(grid_cell, step_cell)
+        assert grid_cell[0] == 0 and grid_cell[m] == m - 1
