@@ -59,6 +59,9 @@ def parse_motif_spec(spec: str) -> homdensity.Motif:
         pairs = []
         for chunk in spec[len("custom:"):].split(","):
             a, _, b = chunk.partition("-")
+            if not (a.isdecimal() and b.isdecimal()):
+                raise ValueError(f"malformed edge {chunk!r} in motif {spec!r}: "
+                                 "expected '<i>-<j>' with node indices i, j >= 0")
             pairs.append((int(a), int(b)))
         k = max(max(p) for p in pairs) + 1
         return homdensity.Motif(k, tuple(pairs))

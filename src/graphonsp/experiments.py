@@ -2,14 +2,14 @@
 graphon filter outputs, and the convergence of graph filters to graphon
 filters as the sample size grows.
 
-Graph signals are initialized as x_i = f(mu_i) from the stored sorted
-latent values, making the node signal the sampled counterpart of the
-continuous input.  Discrepancies are measured on a common uniform
-resample grid: the graph output enters as the piecewise-constant strip
-interpolant of the output vector, the graphon output as the resampled
-Chebyshev series.  Independent (graphon, N, seed) cells run in a thread
-pool and are merged in key order, so records are reproducible
-bit-identically from the configuration.
+Graph signals are initialized as x_i = f(mu_i) from the stored latent
+values, making the node signal the sampled counterpart of the continuous
+input.  Discrepancies are measured on a common uniform resample grid: the
+graph output enters as the piecewise-constant strip interpolant of the
+output vector taken in latent order (node of rank r on strip r), the
+graphon output as the resampled Chebyshev series.  Independent (graphon,
+N, seed) cells run in a thread pool and are merged in key order, so
+records are reproducible bit-identically from the configuration.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .chebyshev import map_domain_inverse, project_apply_resample
 from .filtering import (FilterCoeffs, IdealResponse, apply_graph_filter,
                         design_filter, fg_filter_operator)
-from .galerkin import build_fg_shift
+from .galerkin import OperatorMatrix, build_fg_shift
 from .kernels import Graphon, _cell_index
 from .sampling import sample_graph, scaled_adjacency
 
@@ -109,49 +109,54 @@ def _l2(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
-def _filter_cells(cfg: ExperimentConfig, taps: Dict[str, FilterCoeffs]):
-    """Sample and filter every (graphon, N, seed) cell, each with its
-    graphon's taps, in one thread pool.
+def _filter_cells(cfg: ExperimentConfig,
+                  filters: Dict[str, Tuple[OperatorMatrix, FilterCoeffs]]):
+    """Sample and filter every (graphon, N, seed) cell in one thread pool.
 
-    Returns the uniform resample grid on [0,1] and, in key order, each
-    cell's key with the strip interpolant of its graph output on that grid.
+    ``filters`` maps each label to its FG shift operator and taps.  Returns
+    the input function, the uniform resample grid on [0,1], each label's
+    graphon reference curve on that grid and, in key order, each cell's key
+    with the strip interpolant of its graph output, nodes in latent order.
     """
     f = input_function(cfg.input_id)
     xgrid = map_domain_inverse(np.linspace(-1.0, 1.0, cfg.resample_points))
-    cells = [(label, n, seed)
-             for label in sorted(cfg.graphons)
-             for n in cfg.node_counts
-             for seed in cfg.seeds]
+    references = {label: project_apply_resample(fg_filter_operator(op, taps), f,
+                                                cfg.panels, cfg.resample_points)
+                  for label, (op, taps) in filters.items()}
+    cells = [(label, n, seed) for label in sorted(filters)
+             for n in cfg.node_counts for seed in cfg.seeds]
 
     def run(cell):
         label, n, seed = cell
         g = sample_graph(cfg.graphons[label], n, seed, cfg.sorted_latent)
-        y = apply_graph_filter(scaled_adjacency(g), taps[label], f(g.latent))
-        return y[_cell_index(xgrid, n)]
+        y = apply_graph_filter(scaled_adjacency(g), filters[label][1], f(g.latent))
+        return y[np.argsort(g.latent, kind="stable")][_cell_index(xgrid, n)]
 
     with ThreadPoolExecutor(max_workers=4) as pool:
-        return xgrid, list(zip(cells, pool.map(run, cells)))
+        return f, xgrid, references, list(zip(cells, pool.map(run, cells)))
 
 
-def _run_design_experiment(cfg: ExperimentConfig, ideal: IdealResponse):
+def _run_design_experiment(cfg: ExperimentConfig, ideal: Optional[Sequence[float]],
+                           lead: Sequence[float]):
     """Design residuals over the order sweep for each graphon, plus the
-    graph-versus-graphon curves of the chosen-order design per cell."""
+    graph-versus-graphon curves of the chosen-order design per cell.  The
+    ideal diagonal is ``ideal``, or ``lead`` zero-padded to the basis size.
+    """
     if cfg.chosen_order not in DESIGN_ORDERS:
         raise ValueError(f"chosen order {cfg.chosen_order} is not one of the "
                          f"swept orders {DESIGN_ORDERS}")
-    f = input_function(cfg.input_id)
+    # the operators check the basis size before it shapes the diagonal
+    ops = {label: build_fg_shift(w, cfg.panels, cfg.basis)
+           for label, w in cfg.graphons.items()}
+    ideal = IdealResponse(np.pad(lead, (0, cfg.basis))[:cfg.basis]
+                          if ideal is None else ideal)
+    designs = {label: {k: design_filter(op, k, ideal) for k in DESIGN_ORDERS}
+               for label, op in ops.items()}
+    f, xgrid, preds, cells = _filter_cells(
+        cfg, {label: (op, designs[label][cfg.chosen_order].coeffs)
+              for label, op in ops.items()})
     ideal_curve = project_apply_resample(ideal.matrix(), f, cfg.panels,
                                          cfg.resample_points)
-    designs, taps, preds = {}, {}, {}
-    for label in sorted(cfg.graphons):
-        w_op = build_fg_shift(cfg.graphons[label], cfg.panels, cfg.basis)
-        designs[label] = {k: design_filter(w_op, k, ideal)
-                          for k in DESIGN_ORDERS}
-        taps[label] = designs[label][cfg.chosen_order].coeffs
-        preds[label] = project_apply_resample(fg_filter_operator(w_op, taps[label]),
-                                              f, cfg.panels, cfg.resample_points)
-
-    xgrid, cells = _filter_cells(cfg, taps)
     records: List[ExperimentRecord] = []
     curves: List[ExperimentCurves] = []
     for (label, n, seed), graph_curve in cells:
@@ -169,18 +174,12 @@ def _run_design_experiment(cfg: ExperimentConfig, ideal: IdealResponse):
 
 def run_lowpass(cfg: ExperimentConfig):
     """Low-pass design study; default ideal response diag([1,5,5,10,0,...])."""
-    d = cfg.ideal
-    if d is None:
-        d = np.zeros(cfg.basis)
-        d[:4] = [1.0, 5.0, 5.0, 10.0][:cfg.basis]
-    return _run_design_experiment(cfg, IdealResponse(d))
+    return _run_design_experiment(cfg, cfg.ideal, (1.0, 5.0, 5.0, 10.0))
 
 
 def run_consensus(cfg: ExperimentConfig):
     """Consensus design study: preserve only the constant frequency."""
-    d = np.zeros(cfg.basis)
-    d[:1] = 1.0
-    return _run_design_experiment(cfg, IdealResponse(d))
+    return _run_design_experiment(cfg, None, (1.0,))
 
 
 def run_filter_convergence(cfg: ExperimentConfig):
@@ -192,17 +191,12 @@ def run_filter_convergence(cfg: ExperimentConfig):
     counts = list(cfg.node_counts)
     if sorted(counts) != counts or len(set(counts)) != len(counts):
         raise ValueError("node counts must be strictly increasing")
-    f = input_function(cfg.input_id)
     taps = FilterCoeffs(cfg.filter_taps)
-    references = {}
-    for label, w in cfg.graphons.items():
-        h_mat = fg_filter_operator(build_fg_shift(w, cfg.panels, cfg.basis), taps)
-        references[label] = project_apply_resample(h_mat, f, cfg.panels,
-                                                   cfg.resample_points)
-
+    _, _, references, cells = _filter_cells(
+        cfg, {label: (build_fg_shift(w, cfg.panels, cfg.basis), taps)
+              for label, w in cfg.graphons.items()})
     records: List[ExperimentRecord] = []
     groups: Dict[Tuple[str, int], List[float]] = {}
-    _, cells = _filter_cells(cfg, dict.fromkeys(cfg.graphons, taps))
     for (label, n, seed), graph_curve in cells:
         disc = _l2(graph_curve, references[label])
         records.append(ExperimentRecord(graphon=label, n=n, seed=seed,

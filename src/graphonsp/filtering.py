@@ -168,14 +168,14 @@ class PipelineResult:
 
 
 def filter_pipeline(w, f, order: int, d: IdealResponse, p: int, n: int,
-                    t_points: int, rel_tol: float = 1e-8) -> PipelineResult:
+                    t_points: int) -> PipelineResult:
     """Project the input, design the filter, apply it, and resample.
 
     Returns the designed coefficients, the design residual, the filtered
     output at t_points uniform points, and the frequency response H @ 1.
     """
     w_op = build_fg_shift(w, p, n)
-    design = design_filter(w_op, order, d, rel_tol)
+    design = design_filter(w_op, order, d)
     h_mat = fg_filter_operator(w_op, design.coeffs)
     return PipelineResult(coeffs=design.coeffs,
                           residual=design.residual,

@@ -79,8 +79,8 @@ def sample_graph(w: Graphon, n: int, seed: int, sorted_latent: bool = True) -> G
     Bernoulli trial per pair with parameter W(mu_i, mu_j).
 
     ``sorted_latent`` orders the latent samples ascending before edge
-    generation; it defaults on because the empirical-graphon convergence
-    analysis assumes ordered samples.
+    generation, so node i holds the i-th smallest; without it nodes keep
+    their draw order.  Either way node i sits at ``latent[i]``.
     """
     if n < 1:
         raise ValueError("need at least one node")

@@ -1,9 +1,12 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from graphonsp.cli import dispatch, parse_graphon_spec, parse_motif_spec
+from graphonsp.cli import (_build_parser, dispatch, parse_graphon_spec,
+                           parse_motif_spec)
 from graphonsp.sampling import graph_from_edgelist
 
 
@@ -169,8 +172,28 @@ class TestDispatch:
                 assert dispatch([f"experiment:{study}", "--graphon", "er:0.5",
                                  "--n", "10", "--basis", basis,
                                  "--out-dir", str(out)]) == 2
-                assert "error:" in capsys.readouterr().err
+                err = capsys.readouterr().err
+                assert "error: basis size must be at least 1" in err
+                assert "Traceback" not in err
                 assert not out.exists()
+
+    def test_lowpass_ideal_of_wrong_length_exits_2(self, tmp_path, capsys):
+        # an explicit --ideal is used as given, never padded to the basis size
+        out = tmp_path / "low"
+        assert dispatch(["experiment:lowpass", "--graphon", "er:0.5", "--n", "10",
+                         "--ideal", "1,2", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: ideal response length 2 does not match operator size 5" in err
+        assert not out.exists()
+
+    def test_malformed_custom_motif_exits_2(self, capsys):
+        for spec, chunk in (("custom:", "''"), ("custom:0-1,2", "'2'"),
+                            ("custom:a-b", "'a-b'")):
+            assert dispatch(["homdensity", "--motif", spec, "--graphon", "er:0.5",
+                             "--samples", "10"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: malformed edge {chunk} in motif")
+            assert "'<i>-<j>'" in err and "Traceback" not in err
 
     def test_bad_seeds_exit_2(self, tmp_path, capsys):
         for seed in ("-1", str(2 ** 64)):
@@ -223,3 +246,16 @@ class TestDispatch:
         for flag in ("--graphon", "--panels", "--basis", "--input", "--points",
                      "--out"):
             assert flag in text
+
+
+class TestReadmeCommands:
+    def test_documented_commands_parse(self):
+        # parse, never run, every command of README's Command line section
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.strip()]
+        assert lines and all(line.startswith("graphonsp ") for line in lines)
+        parser = _build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line)[1:])

@@ -8,8 +8,9 @@ from graphonsp.experiments import (DESIGN_ORDERS, ExperimentConfig,
                                    records_to_csv, run_consensus,
                                    run_filter_convergence, run_lowpass)
 from graphonsp.chebyshev import project_apply_resample
-from graphonsp.filtering import (IdealResponse, apply_graph_filter,
-                                 design_filter, fg_filter_operator)
+from graphonsp.filtering import (FilterCoeffs, IdealResponse,
+                                 apply_graph_filter, design_filter,
+                                 fg_filter_operator)
 from graphonsp.galerkin import build_fg_shift
 from graphonsp.kernels import erdos_renyi, exp_distance, exp_sum, sin_product
 from graphonsp.sampling import sample_graph, scaled_adjacency
@@ -139,6 +140,11 @@ class TestLowpass:
             assert abs(r.l2_discrepancy
                        - discrepancy(r.graphon, r.n, r.seed, other)) > 1e-3
 
+    def test_explicit_ideal_of_wrong_length_rejected(self):
+        for ideal in ((1.0, 2.0), (1.0, 5.0, 5.0, 10.0, 0.0, 0.0)):
+            with pytest.raises(ValueError, match="ideal response length"):
+                run_lowpass(small_config(ideal=ideal))
+
     def test_chosen_order_outside_swept_orders_rejected(self):
         for order in (0, 9):
             with pytest.raises(ValueError, match="chosen order"):
@@ -166,12 +172,30 @@ class TestConsensus:
 
 class TestFilterConvergence:
     def test_discrepancy_decreases_with_n(self):
-        cfg = small_config(graphons={"expsum:0.5": exp_sum(0.5)},
-                           node_counts=(100, 400, 1600),
-                           seeds=(0, 1, 2, 3, 4))
-        _, means = run_filter_convergence(cfg)
-        seq = [means[("expsum:0.5", n)] for n in (100, 400, 1600)]
-        assert seq[0] > seq[1] > seq[2]
+        w = exp_sum(0.5)
+        f = input_function("x_plus_sin")
+        taps = FilterCoeffs((0.5, 0.3, 0.2))
+        xgrid = (np.linspace(-1.0, 1.0, 200) + 1.0) / 2.0
+        reference = project_apply_resample(
+            fg_filter_operator(build_fg_shift(w, 10, 5), taps), f, 10, 200)
+        # unsorted samples give the same study on a differently drawn graph:
+        # node outputs are read in latent order, not in sample order
+        for sorted_latent in (True, False):
+            cfg = small_config(graphons={"expsum:0.5": w},
+                               node_counts=(100, 400, 1600),
+                               seeds=(0, 1, 2, 3, 4), filter_taps=taps.h,
+                               sorted_latent=sorted_latent)
+            records, means = run_filter_convergence(cfg)
+            seq = [means[("expsum:0.5", n)] for n in (100, 400, 1600)]
+            assert seq[0] > seq[1] > seq[2]
+            assert len(records) == 15
+            for r in records:
+                g = sample_graph(w, r.n, r.seed, sorted_latent)
+                y = apply_graph_filter(scaled_adjacency(g), taps, f(g.latent))
+                strip = y[np.argsort(g.latent)][
+                    np.minimum((xgrid * r.n).astype(int), r.n - 1)]
+                assert r.l2_discrepancy == pytest.approx(
+                    np.sqrt(np.mean((strip - reference) ** 2)), abs=1e-12)
 
     def test_zero_filter_gives_zero_discrepancy(self):
         cfg = small_config(graphons={"expsum:0.5": exp_sum(0.5)},
