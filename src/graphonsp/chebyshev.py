@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernels import _check_range
+
 __all__ = [
     "ChebCoeffVector",
     "QuadratureRule",
@@ -71,8 +73,7 @@ def cheb_eval(degree: int, u) -> float:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     u = np.asarray(u, dtype=float)
-    if np.any(np.abs(u) > 1):
-        raise ValueError("Chebyshev argument must lie in [-1, 1]")
+    _check_range(u, -1.0, 1.0, "Chebyshev argument must lie in [-1, 1]")
     out = np.cos(degree * np.arccos(u))
     return float(out) if out.ndim == 0 else out
 
@@ -95,6 +96,15 @@ def quad_integrate(rule: QuadratureRule, f) -> float:
     return float(np.dot(rule.weights, f(rule.nodes)))
 
 
+def _check_basis_size(p: int, n: int) -> None:
+    """ValueError unless 1 <= n <= p+1, written so that NaN fails too."""
+    if not n >= 1:
+        raise ValueError(f"basis size must be at least 1, got {n}")
+    if not n <= p + 1:
+        raise ValueError(f"{p} panels cannot resolve a basis of size {n} (aliasing); "
+                         "need n <= p+1")
+
+
 def project_signal(f, p: int, n_basis: int) -> ChebCoeffVector:
     """Project a function on [-1,1] onto the first n_basis Chebyshev polynomials.
 
@@ -102,12 +112,7 @@ def project_signal(f, p: int, n_basis: int) -> ChebCoeffVector:
     normalizer, so that project -> resample is the identity on polynomials
     of degree < n_basis once p is large enough to resolve them.
     """
-    if n_basis < 1:
-        raise ValueError("need at least one basis function")
-    if n_basis > p + 1:
-        raise ValueError(
-            f"{p} panels cannot resolve {n_basis} basis functions (aliasing); "
-            f"need n_basis <= p+1")
+    _check_basis_size(p, n_basis)
     rule = QuadratureRule(p)
     basis = cheb_basis_matrix(rule.nodes, n_basis)
     raw = basis.T @ (rule.weights * np.asarray(f(rule.nodes), dtype=float))
@@ -134,8 +139,7 @@ def project_apply_resample(matrix: np.ndarray, f, p: int, t_points: int) -> np.n
 def map_domain_inverse(u):
     """x = (u + 1)/2, mapping [-1,1] onto [0,1]."""
     u = np.asarray(u, dtype=float)
-    if np.any(u < -1) or np.any(u > 1):
-        raise ValueError("map_domain_inverse expects arguments in [-1, 1]")
+    _check_range(u, -1.0, 1.0, "map_domain_inverse expects arguments in [-1, 1]")
     out = (u + 1.0) / 2.0
     return float(out) if out.ndim == 0 else out
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .chebyshev import project_apply_resample
 from .galerkin import OperatorMatrix, build_fg_shift
-from .sampling import ShiftOperator
+from .sampling import ShiftOperator, apply_shift
 
 __all__ = [
     "FilterCoeffs",
@@ -85,7 +85,7 @@ def apply_graph_filter(s: ShiftOperator, h: FilterCoeffs, x: np.ndarray) -> np.n
     y = h.h[0] * x
     v = x
     for k in range(1, h.order):
-        v = s.entries @ v
+        v = apply_shift(s, v)
         y = y + h.h[k] * v
     return y
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import (QuadratureRule, cheb_basis_matrix,
+from .chebyshev import (QuadratureRule, _check_basis_size, cheb_basis_matrix,
                         coefficient_normalizers, map_domain_inverse,
                         project_apply_resample)
 from .kernels import Graphon
@@ -112,12 +112,7 @@ def compute_tilde_w(w: Graphon, p: int, n_pad: int) -> OperatorMatrix:
 def build_fg_shift(w: Graphon, p: int, n: int) -> OperatorMatrix:
     """Fourier-Galerkin shift operator: tilde sums with the weight correction
     C folded in, then normalization onto unit-series coefficients."""
-    if n < 1:
-        raise ValueError(f"basis size must be at least 1, got {n}")
-    if n > p + 1:
-        raise ValueError(
-            f"{p} panels cannot resolve a basis of size {n} (aliasing); "
-            f"need n <= p+1")
+    _check_basis_size(p, n)
     kernel, basis = _kernel_and_basis(w, p)
     corrected = basis[:, :n].T @ kernel @ (basis @ _weight_correction(p, n))
     entries = corrected / (2.0 * coefficient_normalizers(n))[:, None]

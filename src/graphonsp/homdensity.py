@@ -35,14 +35,15 @@ _MC_BATCH = 100_000
 
 @dataclass(frozen=True)
 class Motif:
-    """Simple undirected pattern graph on k nodes."""
+    """Simple undirected pattern graph on k nodes, 1 <= k <= MAX_MOTIF_NODES: the
+    bound on hom_count's N^K enumeration and hom_density_graphon's K-tuples."""
 
     k: int
     edges: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("motif needs at least one node")
+        if not 1 <= self.k <= MAX_MOTIF_NODES:
+            raise ValueError(f"motif needs 1..{MAX_MOTIF_NODES} nodes, got {self.k}")
         seen = set()
         edges = []
         for a, b in self.edges:
@@ -87,9 +88,6 @@ def hom_count(f: Motif, g: Graph) -> int:
     round; this costs one Python multiply-add per term, so a long cycle on
     a large graph is slow here, but the count is exact.
     """
-    if f.k > MAX_MOTIF_NODES:
-        raise ValueError(f"motif on {f.k} nodes exceeds the enumeration bound "
-                         f"of {MAX_MOTIF_NODES}")
     if not f.edges:
         return g.n ** f.k
     dtype = np.float64 if g.n ** f.k < 2 ** 53 else object

@@ -26,6 +26,8 @@ __all__ = [
     "grid_from_csv",
 ]
 
+_FLOAT_MAX = np.finfo(float).max
+
 
 def _cell_index(t, m: int):
     """Index of the cell holding t when [0, 1] is cut into m equal cells.
@@ -34,6 +36,14 @@ def _cell_index(t, m: int):
     [0, 1] has a cell.
     """
     return np.minimum((t * m).astype(int), m - 1)
+
+
+def _check_range(values, lo, hi, message: str) -> None:
+    """ValueError(message) unless every value lies in [lo, hi]; written so
+    that NaN fails too, and so do infinities since every bound here is finite."""
+    v = np.asarray(values)
+    if not np.all((v >= lo) & (v <= hi)):
+        raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -59,9 +69,7 @@ class Graphon:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         for arg in (x, y):
-            # written so that NaN fails the check as well
-            if not np.all((arg >= 0) & (arg <= 1)):
-                raise ValueError("graphon arguments must lie in [0, 1]")
+            _check_range(arg, 0.0, 1.0, "graphon arguments must lie in [0, 1]")
         if self.grid is not None:
             m = self.grid.shape[0]
             out = self.grid[_cell_index(x, m), _cell_index(y, m)]
@@ -73,50 +81,49 @@ class Graphon:
 
 
 def erdos_renyi(p: float) -> Graphon:
-    """Constant kernel W(x,y) = p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"er: edge probability must be in [0,1], got {p}")
+    """Constant kernel W(x,y) = p.  Requires p in [0, 1]."""
+    _check_range(p, 0.0, 1.0, f"er: edge probability must be in [0,1], got {p}")
     return Graphon(f"er:{p:g}", lambda x, y: np.broadcast_to(float(p), np.broadcast_shapes(np.shape(x), np.shape(y))))
 
 
 def sin_product(a: float, b: float, c: float) -> Graphon:
-    """W(x,y) = a + b*sin(c*pi*x*y).  Requires b >= 0, a-b >= 0, a+b <= 1."""
-    if b < 0 or a - b < 0 or a + b > 1:
-        raise ValueError(f"sinprod: need b >= 0, a-b >= 0 and a+b <= 1, got a={a}, b={b}")
+    """W(x,y) = a + b*sin(c*pi*x*y).  Requires b >= 0, a-b >= 0, a+b <= 1
+    (so W lies in [0, 1]) and c*pi finite (else W is NaN where x*y = 0)."""
+    _check_range([b, a - b, 1 - (a + b)], 0.0, 1.0,
+                 f"sinprod: need b >= 0, a-b >= 0 and a+b <= 1, got a={a}, b={b}")
+    _check_range(float(c) * math.pi, -_FLOAT_MAX, _FLOAT_MAX,
+                 f"sinprod: c*pi must be finite, got c={c}")
     return Graphon(f"sinprod:{a:g},{b:g},{c:g}",
                    lambda x, y: a + b * np.sin(c * np.pi * np.asarray(x) * np.asarray(y)))
 
 
 def exp_sum(alpha: float) -> Graphon:
-    """W(x,y) = exp(-alpha*(x+y)).  Requires alpha >= 0."""
-    if alpha < 0:
-        raise ValueError(f"expsum: decay rate must be nonnegative, got {alpha}")
+    """W(x,y) = exp(-alpha*(x+y)).  Requires alpha finite and >= 0."""
+    _check_range(alpha, 0.0, _FLOAT_MAX,
+                 f"expsum: decay rate must be finite and nonnegative, got {alpha}")
     return Graphon(f"expsum:{alpha:g}",
                    lambda x, y: np.exp(-alpha * (np.asarray(x) + np.asarray(y))))
 
 
 def exp_distance(alpha: float) -> Graphon:
-    """W(x,y) = exp(-alpha*|x-y|).  Requires alpha >= 0."""
-    if alpha < 0:
-        raise ValueError(f"expdist: decay rate must be nonnegative, got {alpha}")
+    """W(x,y) = exp(-alpha*|x-y|).  Requires alpha finite and >= 0."""
+    _check_range(alpha, 0.0, _FLOAT_MAX,
+                 f"expdist: decay rate must be finite and nonnegative, got {alpha}")
     return Graphon(f"expdist:{alpha:g}",
                    lambda x, y: np.exp(-alpha * np.abs(np.asarray(x) - np.asarray(y))))
 
 
 def grid_graphon(grid: np.ndarray, label: str = "grid") -> Graphon:
-    """Wrap a square symmetric matrix of values in [0,1] as a grid graphon."""
-    grid = np.asarray(grid, dtype=float)
+    """Wrap a square symmetric matrix of values in [0,1] as a grid graphon
+    that holds its own read-only copy of the values."""
+    grid = np.array(grid, dtype=float)
     if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
         raise ValueError("grid graphon requires a square matrix")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("grid graphon values must be finite")
+    _check_range(grid, 0.0, 1.0, "grid graphon values must be finite and lie in [0, 1]")
     if not np.allclose(grid, grid.T):
         raise ValueError("grid graphon requires a symmetric matrix")
-    if grid.min() < 0 or grid.max() > 1:
-        raise ValueError("grid graphon values must lie in [0, 1]")
-    g = grid.copy()
-    g.flags.writeable = False
-    return Graphon(label=label, grid=g)
+    grid.flags.writeable = False
+    return Graphon(label=label, grid=grid)
 
 
 def empirical_graphon(graph) -> Graphon:
@@ -125,8 +132,7 @@ def empirical_graphon(graph) -> Graphon:
     Cell (i, j) holds 1 if the edge exists and 0 otherwise; diagonal cells
     are 0 because the graphs here are simple.
     """
-    adj = graph.adjacency.astype(float)
-    return grid_graphon(adj, label=f"empirical:{graph.n}")
+    return grid_graphon(graph.adjacency, label=f"empirical:{graph.n}")
 
 
 def l2_distance(w1: Graphon, w2: Graphon, grid_side: int) -> float:

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import Graphon
+from .kernels import Graphon, _check_range
 
 __all__ = [
     "Graph",
@@ -82,10 +82,8 @@ def sample_graph(w: Graphon, n: int, seed: int, sorted_latent: bool = True) -> G
     generation, so node i holds the i-th smallest; without it nodes keep
     their draw order.  Either way node i sits at ``latent[i]``.
     """
-    if n < 1:
-        raise ValueError("need at least one node")
-    if n > MAX_NODES:
-        raise ValueError(f"dense storage is limited to {MAX_NODES} nodes, got {n}")
+    if not 1 <= n <= MAX_NODES:
+        raise ValueError(f"node count must lie in 1..{MAX_NODES} (dense storage), got {n}")
     rng = np.random.default_rng(_coerce_seed(seed))
     latent = rng.random(n)
     if sorted_latent:
@@ -187,9 +185,7 @@ def graph_from_edgelist(path, latent_path=None) -> Graph:
         if latent.shape != (n,):
             raise ValueError(f"{latent_path}: expected {n} latent values, one "
                              f"per line, got shape {latent.shape}")
-        if not np.all(np.isfinite(latent)):
-            raise ValueError(f"{latent_path}: latent values must be finite")
-        if not np.all((latent >= 0) & (latent <= 1)):
-            raise ValueError(f"{latent_path}: latent values must lie in [0, 1]")
+        _check_range(latent, 0.0, 1.0,
+                     f"{latent_path}: latent values must be finite and lie in [0, 1]")
     adj.flags.writeable = False
     return Graph(n=n, adjacency=adj, latent=latent)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Graphon, _cell_index
+from .kernels import Graphon, _cell_index, _check_range
 
 __all__ = [
     "StepSignal",
@@ -43,19 +43,16 @@ class StepSignal:
     def evaluate(self, t):
         """Value of the lifted function: coeffs[strip(t)] * N."""
         t = np.asarray(t, dtype=float)
-        # written so that NaN fails the check as well
-        if not np.all((t >= 0) & (t <= 1)):
-            raise ValueError("point outside [0, 1]")
+        _check_range(t, 0.0, 1.0, "point outside [0, 1]")
         n = len(self.coeffs)
         return self.coeffs[_cell_index(t, n)] * n
 
 
 def lift(x) -> StepSignal:
     """Lift a vector into the step basis; unlift(lift(x)) == x exactly."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
+    c = np.array(x, dtype=float)
+    if c.ndim != 1 or c.size == 0:
         raise ValueError("lift expects a nonempty vector")
-    c = x.copy()
     c.flags.writeable = False
     return StepSignal(coeffs=c)
 
@@ -71,12 +68,13 @@ def step_operator_matrix(w: Graphon) -> np.ndarray:
     Entry (i, j) is the double integral of the kernel against b_i(x) b_j(y).
     Because the grid cells align with the strips the integral is a cell sum:
     value * (1/N^2) * N^2 = value, so for a 0/1 empirical graphon this is
-    the adjacency matrix exactly, with no floating error.
+    the adjacency matrix exactly, with no floating error.  Returns the
+    graphon's own read-only grid, not a copy.
     """
     if w.grid is None:
         raise ValueError("step basis requires a grid graphon; analytic kernels "
                          "go through the Chebyshev path")
-    return w.grid.copy()
+    return w.grid
 
 
 def apply_empirical_operator(w: Graphon, f: StepSignal) -> StepSignal:

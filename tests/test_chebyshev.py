@@ -25,6 +25,9 @@ class TestChebEval:
     def test_domain_guard(self):
         with pytest.raises(ValueError):
             cheb_eval(3, 1.0001)
+        for u in (np.nan, np.array([0.0, np.nan])):
+            with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+                cheb_eval(1, u)
 
     def test_three_term_recurrence(self):
         u = np.linspace(-1, 1, 100)
@@ -156,3 +159,6 @@ class TestDomainMap:
             map_domain_inverse(-1.5)
         with pytest.raises(ValueError):
             map_domain_inverse(1.5)
+        for u in (np.nan, np.array([0.0, np.nan])):
+            with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+                map_domain_inverse(u)

@@ -195,6 +195,33 @@ class TestDispatch:
             assert err.startswith(f"error: malformed edge {chunk} in motif")
             assert "'<i>-<j>'" in err and "Traceback" not in err
 
+    def test_oversized_custom_motif_exits_2(self, capsys):
+        assert dispatch(["homdensity", "--motif", "custom:0-8", "--graphon", "er:0.5",
+                         "--samples", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: motif needs 1..8 nodes, got 9")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("spec", ["expsum:nan", "sinprod:0.5,0.5,1e308"])
+    def test_non_finite_graphon_spec_exits_2(self, tmp_path, capsys, spec):
+        out = tmp_path / "out"
+        commands = {
+            "sample": ["--n", "50", "--out", str(out)],
+            "fg-operator": ["--out", str(out)],
+            "solve": ["--out", str(out)],
+            "design": ["--order", "3", "--ideal", "1,0,0", "--response-out", str(out)],
+            "homdensity": ["--samples", "10"],
+            "experiment:convergence": ["--n-values", "50", "--seeds", "0",
+                                       "--out-dir", str(out)],
+        }
+        for command, args in commands.items():
+            assert dispatch([command, "--graphon", spec, *args]) == 2, command
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: malformed graphon spec '{spec}'")
+            assert "finite" in captured.err and "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_seeds_exit_2(self, tmp_path, capsys):
         for seed in ("-1", str(2 ** 64)):
             assert dispatch(["sample", "--graphon", "er:0.5", "--n", "10",

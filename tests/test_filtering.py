@@ -49,6 +49,18 @@ class TestApplyGraphFilter:
             np.testing.assert_allclose(
                 apply_graph_filter(s, FilterCoeffs(h), x), expected, atol=1e-13)
 
+    @pytest.mark.parametrize("n", [1, 17, 400])
+    def test_matches_entries_loop_bit_for_bit(self, n):
+        s = scaled_adjacency(sample_graph(exp_sum(0.5), n, seed=n))
+        x = np.random.default_rng(n).standard_normal(n)
+        taps = (0.5, 0.3, 0.2)
+        expected = taps[0] * x
+        v = x
+        for tap in taps[1:]:
+            v = s.entries @ v
+            expected = expected + tap * v
+        assert np.array_equal(apply_graph_filter(s, FilterCoeffs(taps), x), expected)
+
     def test_dimension_mismatch(self):
         g = sample_graph(erdos_renyi(0.5), 5, seed=0)
         with pytest.raises(ValueError):

@@ -93,6 +93,8 @@ class TestMotif:
             Motif(2, ((0, 2),))
         with pytest.raises(ValueError):
             Motif(0, ())
+        with pytest.raises(ValueError, match=f"1..{MAX_MOTIF_NODES} nodes"):
+            Motif(MAX_MOTIF_NODES + 1, ((0, 1),))
 
     def test_duplicate_edges_collapse(self):
         m = Motif(3, ((0, 1), (1, 0), (1, 2)))

@@ -96,6 +96,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             exp_distance(-0.5)
 
+    @pytest.mark.parametrize("make", [
+        lambda: erdos_renyi(np.nan),
+        lambda: exp_sum(np.nan),
+        lambda: exp_distance(np.inf),
+        lambda: sin_product(np.nan, 0.0, 1.0),
+        lambda: sin_product(0.5, 0.5, np.nan),
+        # c*pi overflows to inf, and inf * 0 at x*y = 0 would give NaN
+        lambda: sin_product(0.5, 0.5, 1e308),
+    ], ids=["er-nan", "expsum-nan", "expdist-inf", "sinprod-a-nan",
+            "sinprod-c-nan", "sinprod-c-overflow"])
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(ValueError, match="finite|need b >= 0|must be in"):
+            make()
+
     def test_grid_must_be_square_symmetric(self):
         with pytest.raises(ValueError):
             grid_graphon(np.zeros((2, 3)))
