@@ -89,9 +89,11 @@ def erdos_renyi(p: float) -> Graphon:
 def sin_product(a: float, b: float, c: float) -> Graphon:
     """W(x,y) = a + b*sin(c*pi*x*y).  Requires b >= 0, a-b >= 0, a+b <= 1
     (so W lies in [0, 1]) and c*pi finite (else W is NaN where x*y = 0)."""
+    # Python floats, so that a - b with infinite a and b is NaN without a warning
+    a, b, c = float(a), float(b), float(c)
     _check_range([b, a - b, 1 - (a + b)], 0.0, 1.0,
                  f"sinprod: need b >= 0, a-b >= 0 and a+b <= 1, got a={a}, b={b}")
-    _check_range(float(c) * math.pi, -_FLOAT_MAX, _FLOAT_MAX,
+    _check_range(c * math.pi, -_FLOAT_MAX, _FLOAT_MAX,
                  f"sinprod: c*pi must be finite, got c={c}")
     return Graphon(f"sinprod:{a:g},{b:g},{c:g}",
                    lambda x, y: a + b * np.sin(c * np.pi * np.asarray(x) * np.asarray(y)))
@@ -101,8 +103,14 @@ def exp_sum(alpha: float) -> Graphon:
     """W(x,y) = exp(-alpha*(x+y)).  Requires alpha finite and >= 0."""
     _check_range(alpha, 0.0, _FLOAT_MAX,
                  f"expsum: decay rate must be finite and nonnegative, got {alpha}")
-    return Graphon(f"expsum:{alpha:g}",
-                   lambda x, y: np.exp(-alpha * (np.asarray(x) + np.asarray(y))))
+
+    def w(x, y):
+        # alpha*(x+y) may overflow to inf for a huge finite alpha; exp(-inf)
+        # = 0 is then the right value
+        with np.errstate(over="ignore"):
+            return np.exp(-alpha * (np.asarray(x) + np.asarray(y)))
+
+    return Graphon(f"expsum:{alpha:g}", w)
 
 
 def exp_distance(alpha: float) -> Graphon:

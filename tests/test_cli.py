@@ -222,6 +222,17 @@ class TestDispatch:
             assert "finite" in captured.err and "Traceback" not in captured.err
         assert list(tmp_path.iterdir()) == []
 
+    def test_expsum_huge_rate_runs_without_warning(self, tmp_path, capsys):
+        # exp(-alpha*(x+y)) underflows to 0 off the origin; the suite turns
+        # a RuntimeWarning into an error
+        out = tmp_path / "g.edges"
+        assert dispatch(["sample", "--graphon", "expsum:1e308", "--n", "50",
+                         "--out", str(out)]) == 0
+        assert dispatch(["homdensity", "--graphon", "expsum:1e308",
+                         "--samples", "10"]) == 0
+        assert capsys.readouterr().err == ""
+        assert graph_from_edgelist(out).edge_count() == 0
+
     def test_bad_seeds_exit_2(self, tmp_path, capsys):
         for seed in ("-1", str(2 ** 64)):
             assert dispatch(["sample", "--graphon", "er:0.5", "--n", "10",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,17 +51,33 @@ class TestApplyGraphFilter:
             np.testing.assert_allclose(
                 apply_graph_filter(s, FilterCoeffs(h), x), expected, atol=1e-13)
 
-    @pytest.mark.parametrize("n", [1, 17, 400])
+    # 100, 400 and 1600 are the convergence study's sizes, 2000 the design studies'
+    @pytest.mark.parametrize("n", [1, 17, 100, 400, 1600, 2000])
     def test_matches_entries_loop_bit_for_bit(self, n):
-        s = scaled_adjacency(sample_graph(exp_sum(0.5), n, seed=n))
+        g = sample_graph(exp_sum(0.5), n, seed=n)
+        dense = np.divide(g.adjacency, n, dtype=float)
         x = np.random.default_rng(n).standard_normal(n)
         taps = (0.5, 0.3, 0.2)
         expected = taps[0] * x
         v = x
         for tap in taps[1:]:
-            v = s.entries @ v
+            v = dense @ v
             expected = expected + tap * v
-        assert np.array_equal(apply_graph_filter(s, FilterCoeffs(taps), x), expected)
+        got = apply_graph_filter(scaled_adjacency(g), FilterCoeffs(taps), x)
+        assert np.array_equal(got, expected)
+
+    def test_three_tap_filter_allocates_no_dense_shift(self):
+        n = 2000  # a dense float64 S would take 32 MB
+        g = sample_graph(exp_sum(0.5), n, seed=3)
+        x = np.random.default_rng(3).standard_normal(n)
+        taps = FilterCoeffs([0.5, 0.3, 0.2])
+        tracemalloc.start()
+        try:
+            apply_graph_filter(scaled_adjacency(g), taps, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
 
     def test_dimension_mismatch(self):
         g = sample_graph(erdos_renyi(0.5), 5, seed=0)

@@ -110,6 +110,30 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite|need b >= 0|must be in"):
             make()
 
+    def test_expsum_huge_rate_gives_zero_without_warning(self):
+        # alpha*(x+y) overflows to inf, and exp(-inf) = 0; the suite turns
+        # a RuntimeWarning into an error
+        w = exp_sum(1e308)
+        assert w.eval(1.0, 1.0) == 0.0
+        t = np.linspace(0.0, 1.0, 11)
+        x, y = t[:, None], t[None, :]
+        np.testing.assert_array_equal(w.eval(x, y), np.where(x + y == 0, 1.0, 0.0))
+
+    def test_expsum_finite_values_unchanged(self):
+        t = np.linspace(0.0, 1.0, 101)
+        x, y = t[:, None], t[None, :]
+        for alpha in (0.0, 0.5, 2.0, 700.0):
+            assert np.array_equal(exp_sum(alpha).eval(x, y), np.exp(-alpha * (x + y)))
+
+    def test_sinprod_numpy_infinities_raise_only_value_error(self):
+        inf = np.float64(np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="need b >= 0"):
+                sin_product(inf, inf, 1.0)
+            with pytest.raises(ValueError, match="finite"):
+                sin_product(np.float64(0.5), np.float64(0.5), inf)
+
     def test_grid_must_be_square_symmetric(self):
         with pytest.raises(ValueError):
             grid_graphon(np.zeros((2, 3)))

@@ -1,3 +1,9 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,6 +187,18 @@ class TestScaledAdjacency:
         np.testing.assert_array_equal(scaled_adjacency(g).entries,
                                       np.array([[0.0, 0.5], [0.5, 0.0]]))
 
+    def test_entries_equal_a_over_n_and_no_float_matrix_kept(self):
+        g = sample_graph(exp_sum(0.5), 60, seed=8)
+        s = scaled_adjacency(g)
+        assert [f.name for f in dataclasses.fields(s)] == ["n", "adjacency"]
+        assert s.adjacency is g.adjacency
+        assert not any(isinstance(v, np.ndarray) and v.dtype.kind == "f"
+                       for v in vars(s).values())
+        entries = s.entries
+        assert entries.dtype == float and not entries.flags.writeable
+        assert np.array_equal(entries, g.adjacency / 60)
+        assert entries is not s.entries  # built on each access, never cached
+
     def test_spectral_radius_below_one(self):
         for n in (50, 200, 500):
             g = sample_graph(exp_sum(0.5), n, seed=n)
@@ -220,6 +238,29 @@ class TestApplyShift:
         g = sample_graph(erdos_renyi(0.5), 5, seed=0)
         with pytest.raises(ValueError):
             apply_shift(scaled_adjacency(g), np.ones(6))
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # sizes where one dense S @ x gives different bits at 1 and 2 threads
+        script = (
+            "import hashlib, numpy as np\n"
+            "from graphonsp.kernels import exp_sum\n"
+            "from graphonsp.sampling import apply_shift, sample_graph, scaled_adjacency\n"
+            "h = hashlib.sha256()\n"
+            "for n in (707, 781, 2001):\n"
+            "    s = scaled_adjacency(sample_graph(exp_sum(0.5), n, seed=n))\n"
+            "    x = np.random.default_rng(n).standard_normal(n)\n"
+            "    h.update(apply_shift(s, x).tobytes())\n"
+            "print(h.hexdigest())\n")
+        src = str(Path(sampling.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout)
+        assert digests[0] == digests[1]
 
 
 class TestEdgelistIO:
