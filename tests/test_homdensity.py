@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from graphonsp.homdensity import (MAX_MOTIF_NODES, Motif, edge_motif,
                                   hom_density_graphon, path3_motif,
                                   triangle_motif)
 from graphonsp.kernels import erdos_renyi, exp_sum, grid_graphon
-from graphonsp.sampling import Graph, sample_graph
+from graphonsp.sampling import MAX_NODES, Graph, sample_graph
 
 
 def brute_force_hom(motif, graph):
@@ -56,13 +57,26 @@ def path_motif(k):
     return Motif(k, tuple((i, i + 1) for i in range(k - 1)))
 
 
+def cycle_motif(k):
+    return Motif(k, tuple((i, (i + 1) % k) for i in range(k)))
+
+
+def complete_graph(n):
+    return Graph(n=n, adjacency=~np.eye(n, dtype=bool))
+
+
+# every prime below 2^8, smallest first: many primes, each reducing hard
+SMALL_PRIMES = tuple(p for p in range(2, 2 ** 8)
+                     if all(p % q for q in range(2, int(p ** 0.5) + 1)))
+
+
 def einsum_dtypes(monkeypatch):
-    """Record the operand dtype of every np.einsum call."""
+    """Record the operand dtypes of every np.einsum call."""
     seen = []
     real = np.einsum
 
     def spy(subscripts, *operands, **kwargs):
-        seen.append(operands[0].dtype)
+        seen.extend(op.dtype for op in operands)
         return real(subscripts, *operands, **kwargs)
 
     monkeypatch.setattr(np, "einsum", spy)
@@ -167,7 +181,7 @@ class TestHomCount:
         g = sample_graph(erdos_renyi(0.9), 99, seed=12)
         seen = einsum_dtypes(monkeypatch)
         got = hom_count(path_motif(8), g)
-        assert seen == [np.dtype(object)]
+        assert seen and all(dtype == np.float64 for dtype in seen)
         assert got == walks(g, 7)
 
     def test_just_below_float_bound_is_exact_in_float64(self, monkeypatch):
@@ -176,8 +190,76 @@ class TestHomCount:
         g = sample_graph(erdos_renyi(1.0), 98, seed=0)
         seen = einsum_dtypes(monkeypatch)
         got = hom_count(path_motif(8), g)
-        assert seen == [np.dtype(np.float64)]
+        assert seen and all(dtype == np.float64 for dtype in seen)
         assert got == walks(g, 7) == 98 * 97 ** 7
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(max_n=6), small_motifs(max_k=5))
+    def test_property_modular_path_with_small_primes_matches_enumeration(self, g, motif):
+        # every count reduces (none lies below 0), modulo primes below 2^8,
+        # so the CRT joins up to six residues; at these sizes every sum
+        # stays far below 2^53, so the arithmetic is exact
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(homdensity, "_EXACT", 0)
+            mp.setattr(homdensity, "_primes", lambda steps, n: iter(SMALL_PRIMES))
+            assert hom_count(motif, g) == brute_force_hom(motif, g)
+
+    def test_cycle8_on_random_graph_matches_int64_trace(self):
+        g = sample_graph(erdos_renyi(0.9), 120, seed=3)
+        assert 2 ** 55 < 120 ** 8 < 2 ** 56
+        a4 = np.linalg.matrix_power(g.adjacency.astype(np.int64), 4)
+        # entries of A^4 are <= 120^3, of A^4 A^4 <= 120^7, the trace <= 120^8
+        want = int(np.trace(a4 @ a4))
+        assert want > 2 ** 53
+        assert hom_count(cycle_motif(8), g) == want
+
+
+class TestClosedFormsOnCompleteGraph:
+    # the largest case, MAX_NODES^8 = 2^96, passes 2^90
+    @pytest.mark.parametrize("n", [1, 2, 3, 99, 300, MAX_NODES])
+    def test_paths(self, n):
+        g = complete_graph(n)
+        for k in range(1, MAX_MOTIF_NODES + 1):
+            assert hom_count(path_motif(k), g) == n * (n - 1) ** (k - 1), k
+
+    @pytest.mark.parametrize("n", [3, 4, 99, 300])
+    def test_cycles(self, n):
+        g = complete_graph(n)
+        for k in range(3, MAX_MOTIF_NODES + 1):
+            assert hom_count(cycle_motif(k), g) == (n - 1) ** k + (-1) ** k * (n - 1), k
+
+
+class TestHomCountInput:
+    @pytest.mark.parametrize("adjacency", [
+        np.ones((3, 3), dtype=int) - np.eye(3, dtype=int),       # int, not bool
+        2 * (np.ones((3, 3)) - np.eye(3)),                       # float
+        np.ones((4, 4), dtype=bool) ^ np.eye(4, dtype=bool),     # shape not (n, n)
+        np.triu(np.ones((3, 3), dtype=bool), 1),                 # asymmetric
+        np.ones((3, 3), dtype=bool),                             # loops
+        [[False, True, True], [True, False, True], [True, True, False]],
+    ], ids=["int", "float", "shape", "asymmetric", "diagonal", "list"])
+    def test_rejects_anything_but_a_simple_boolean_adjacency(self, adjacency):
+        g = Graph(n=3, adjacency=adjacency)
+        for motif in (edge_motif(), Motif(2, ())):
+            with pytest.raises(ValueError, match="hom_count needs"):
+                hom_count(motif, g)
+        with pytest.raises(ValueError, match="hom_count needs"):
+            hom_density_graph(edge_motif(), g)
+
+    @pytest.mark.parametrize("i, j", [(0, 599), (599, 0), (300, 10), (255, 256),
+                                      (513, 512), (100, 101)])
+    def test_asymmetry_found_in_any_tile(self, i, j):
+        adj = complete_graph(600).adjacency.copy()
+        adj[i, j] = False
+        with pytest.raises(ValueError, match="symmetric"):
+            hom_count(edge_motif(), Graph(n=600, adjacency=adj))
+
+    def test_numpy_integer_node_count_does_not_wrap(self):
+        # 300^8 wraps in int64
+        g = sample_graph(erdos_renyi(1.0), np.int64(300), seed=0)
+        path8 = path_motif(MAX_MOTIF_NODES)
+        assert hom_count(path8, g) == 300 * 299 ** 7
+        assert hom_density_graph(path8, g) == float(Fraction(299 ** 7, 300 ** 7))
 
 
 class TestHomDensityGraph:
@@ -196,6 +278,13 @@ class TestHomDensityGraph:
         # edge-level (delta method) standard error dominates the fluctuation
         se = 3 * 0.25 * np.sqrt(0.25 / (300 * 299 / 2))
         assert abs(t - 0.125) < 3 * se
+
+    def test_density_is_correctly_rounded(self):
+        # 99^8 > 2^53, and count / float(99) ** 8 would round three times
+        g = complete_graph(99)
+        for motif, count in ((path_motif(8), 99 * 98 ** 7),
+                             (cycle_motif(8), 98 ** 8 + 98)):
+            assert hom_density_graph(motif, g) == float(Fraction(count, 99 ** 8))
 
     def test_path8_over_complete_graph(self):
         g = sample_graph(erdos_renyi(1.0), 300, seed=0)
