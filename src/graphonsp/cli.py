@@ -2,7 +2,8 @@
 
 Subcommands wire configuration flags to the library operations and write
 plain CSV/JSON artifacts.  Exit codes: 0 success, 1 numerical failure
-(non-finite result), 2 usage or validation error.
+(non-finite result, nothing written), 2 usage or validation error or an
+input too large for memory.
 """
 
 from __future__ import annotations
@@ -188,9 +189,7 @@ def _run(args) -> int:
     if args.command == "fg-operator":
         w = parse_graphon_spec(args.graphon)
         op = galerkin.build_fg_shift(w, args.panels, args.basis)
-        if not np.all(np.isfinite(op.entries)):
-            print("error: operator has non-finite entries", file=sys.stderr)
-            return 1
+        _check_finite(op.entries, "operator")
         galerkin.operator_to_csv(op, args.out)
         print(f"wrote {op.size}x{op.size} operator to {args.out}")
         return 0
@@ -199,9 +198,7 @@ def _run(args) -> int:
         w = parse_graphon_spec(args.graphon)
         f = input_function(args.input)
         y = galerkin.fredholm_solve(w, f, args.panels, args.basis, args.points)
-        if not np.all(np.isfinite(y)):
-            print("error: solve produced non-finite values", file=sys.stderr)
-            return 1
+        _check_finite(y, "solve")
         x = map_domain_inverse(np.linspace(-1.0, 1.0, args.points))
         with open(args.out, "w") as fh:
             fh.write("x,g\n")
@@ -217,9 +214,7 @@ def _run(args) -> int:
         result = filtering.design_filter(op, args.order,
                                          filtering.IdealResponse(ideal),
                                          rel_tol=args.svd_tol)
-        if not np.isfinite(result.residual):
-            print("error: design produced a non-finite residual", file=sys.stderr)
-            return 1
+        _check_finite(result.residual, "design residual")
         print(json.dumps({"h": [float(v) for v in result.coeffs.h],
                           "residual": result.residual,
                           "rank_used": result.rank_used}, allow_nan=False))
@@ -245,6 +240,12 @@ def _run(args) -> int:
                   "consensus": experiments.run_consensus,
                   "convergence": experiments.run_filter_convergence}[stem]
         records, extra = runner(_experiment_config(args))
+        # the records' NaN placeholders (convergence residuals, discrepancies
+        # of unchosen orders) are not measured values
+        design = stem != "convergence"
+        _check_finite([r.residual for r in records if design]
+                      + [r.l2_discrepancy for r in records
+                         if not design or r.order == args.order], args.command)
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         experiments.records_to_csv(records, out / f"{stem}.csv")
@@ -260,6 +261,12 @@ def _run(args) -> int:
     raise AssertionError(f"unhandled command {args.command}")
 
 
+def _check_finite(values, what: str) -> None:
+    """Raise FloatingPointError, exit code 1, unless every value is finite."""
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError(f"{what} produced non-finite values")
+
+
 def dispatch(argv=None) -> int:
     """Parse arguments and run; returns the process exit code."""
     parser = _build_parser()
@@ -269,8 +276,14 @@ def dispatch(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _run(args)
+    except FloatingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: input too large for memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -51,7 +51,6 @@ __all__ = [
     "fredholm_solve",
     "resolvent_eigs",
     "operator_to_csv",
-    "operator_from_csv",
 ]
 
 
@@ -147,7 +146,3 @@ def resolvent_eigs(o: OperatorMatrix) -> np.ndarray:
 
 def operator_to_csv(o: OperatorMatrix, path) -> None:
     np.savetxt(path, o.entries, delimiter=",")
-
-
-def operator_from_csv(path) -> OperatorMatrix:
-    return OperatorMatrix(entries=np.loadtxt(path, delimiter=",", ndmin=2))

@@ -9,6 +9,7 @@ with the motif size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -34,7 +35,6 @@ _MC_BATCH = 100_000
 
 # float64 holds every integer below this exactly
 _EXACT = 2 ** 53
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SYMMETRY_TILE = 256
 
 
@@ -86,19 +86,20 @@ def hom_count(f: Motif, g: Graph) -> int:
     steps, each run as one float64 BLAS contraction.  It equals brute-force
     enumeration of all N^K maps.
 
-    Every entry of every intermediate counts maps of some of the motif
-    vertices, so none exceeds N^K.  While N^K < 2^53 the steps run once and
-    no partial sum rounds.  Otherwise they run once per prime p, every
-    intermediate reduced by ``np.fmod`` to [0, p).  A step joining r reduced
-    inputs (entries <= p - 1; adjacency and ones entries are <= 1) over n^s
-    summed terms has every partial sum at most (p - 1)^r * n^s.  The primes
-    are the largest p for which that bound stays below 2^53 at every step of
-    the plan, taken in descending order until their product exceeds N^K.
-    The residues are joined by the Chinese remainder theorem in Python
-    integers, which gives the count, since it lies in [0, N^K].
+    Every entry of every intermediate counts maps of some motif vertices,
+    so none exceeds N^K.  While N^K < 2^53 the steps run once and no partial
+    sum rounds.  Otherwise they run once per modulus m, every intermediate
+    reduced by ``np.fmod`` to [0, m).  A step joining r reduced inputs over
+    n^s summed terms has every partial sum at most (m - 1)^r * n^s
+    (adjacency and ones entries are <= 1).  The moduli are pairwise coprime,
+    taken downwards from the largest m that keeps this bound below 2^53 at
+    every step, r = 0 included, until their product exceeds N^K; the CRT
+    joins the residues in Python integers, giving the count in [0, N^K].
 
     Raises ValueError unless ``g.adjacency`` is a boolean (n, n) matrix that
-    is symmetric with a zero diagonal, which the count assumes.
+    is symmetric with a zero diagonal, which the count assumes, and before
+    any contraction if no moduli fit: a step summing n^s >= 2^53 terms, as
+    the single step of a complete motif does once N^K >= 2^53, allows none.
     """
     _check_adjacency(g)
     n = int(g.n)  # a numpy integer n would wrap in n ** k
@@ -108,16 +109,8 @@ def hom_count(f: Motif, g: Graph) -> int:
     steps, operands = _plan(f, g)
     if total < _EXACT:
         return int(_contract(steps, operands, None))
-    primes, product = [], 1
-    for p in _primes(steps, n):
-        primes.append(p)
-        product *= p
-        if product > total:
-            break
-    else:
-        raise ValueError(f"no exact float64 plan for a {f.k}-node motif at N={n}")
-    residues = [int(_contract(steps, operands, p)) for p in primes]
-    return _crt(residues, primes)
+    moduli = _moduli(steps, n, total)
+    return _crt([int(_contract(steps, operands, m)) for m in moduli], moduli)
 
 
 def _check_adjacency(g: Graph) -> None:
@@ -167,25 +160,34 @@ def _plan(f: Motif, g: Graph):
     return steps, operands
 
 
-def _contract(steps, operands, p):
-    """Run the plan, reducing every intermediate modulo p unless p is None."""
+def _contract(steps, operands, m):
+    """Run the plan, reducing every intermediate modulo m unless m is None."""
     operands = list(operands)
     for positions, subscripts, _, _ in steps:
         out = np.einsum(subscripts, *[operands.pop(i) for i in positions],
                         optimize=True)
-        operands.append(out if p is None else np.fmod(out, p))
+        operands.append(out if m is None else np.fmod(out, m))
     return operands[0]
 
 
-def _primes(steps, n):
-    """Primes p, largest first, with (p - 1)^r * n^s < 2^53 at every step."""
+def _moduli(steps, n, total):
+    """Pairwise-coprime moduli m, largest first, whose product exceeds total,
+    each with (m - 1)^r * n^s < 2^53 at every step of the plan."""
     limit = _EXACT
     for _, _, r, s in steps:
-        if r:
-            limit = min(limit, _iroot((_EXACT - 1) // n ** s, r) + 1)
+        room = (_EXACT - 1) // n ** s  # the largest (m - 1)^r the step allows
+        if not room:
+            limit = 1  # n^s terms alone can round: no modulus helps
+        elif r:
+            limit = min(limit, _iroot(room, r) + 1)
+    moduli, product = [], 1
     for m in range(limit, 1, -1):
-        if _is_prime(m):
-            yield m
+        if math.gcd(m, product) == 1:
+            moduli.append(m)
+            product *= m
+            if product > total:
+                return moduli
+    raise ValueError(f"no exact float64 plan for N^K = {total} at N={n}")
 
 
 def _iroot(x: int, r: int) -> int:
@@ -198,33 +200,11 @@ def _iroot(x: int, r: int) -> int:
     return m
 
 
-def _is_prime(m: int) -> bool:
-    """Miller-Rabin with the first twelve primes as bases, which decides
-    every m below 3.3e24 (Sorenson and Webster, 2015)."""
-    for q in _SMALL_PRIMES:
-        if m % q == 0:
-            return m == q
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _SMALL_PRIMES:
-        x = pow(a, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _crt(residues, primes) -> int:
-    """The x in [0, prod(primes)) with x = residues[i] mod primes[i] (Garner)."""
+def _crt(residues, moduli) -> int:
+    """The x in [0, prod(moduli)) with x = residues[i] mod moduli[i], for
+    pairwise-coprime moduli (Garner)."""
     x, m = 0, 1
-    for r, p in zip(residues, primes):
+    for r, p in zip(residues, moduli):
         x += m * ((r - x) * pow(m, -1, p) % p)
         m *= p
     return x

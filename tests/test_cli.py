@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from graphonsp import experiments, filtering, galerkin
 from graphonsp.cli import (_build_parser, dispatch, parse_graphon_spec,
                            parse_motif_spec)
+from graphonsp.experiments import ExperimentRecord
 from graphonsp.sampling import graph_from_edgelist
 
 
@@ -265,6 +267,68 @@ class TestDispatch:
                                  "--order", order, "--out-dir", str(out)]) == 2
                 assert "error: chosen order" in capsys.readouterr().err
                 assert not out.exists()
+
+    # the taps overflow float64 on purpose
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_experiment_non_finite_discrepancy_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert dispatch(["experiment:convergence", "--graphon", "er:1",
+                         "--n-values", "10", "--seeds", "0",
+                         "--taps", "1e308,1e308,1e308", "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: experiment:convergence produced "
+                                "non-finite values\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("residual, disc, code", [
+        (0.5, 0.1, 0), (float("inf"), 0.1, 1), (0.5, float("nan"), 1)])
+    def test_design_study_checks_measured_values_only(self, tmp_path, monkeypatch,
+                                                      residual, disc, code):
+        # the NaN discrepancy of every order but the chosen one is a placeholder
+        records = [ExperimentRecord("er:0.5", 10, 0, k, residual if k == 8 else 0.5,
+                                    disc if k == 5 else float("nan"))
+                   for k in experiments.DESIGN_ORDERS]
+        monkeypatch.setattr(experiments, "run_consensus", lambda cfg: (records, []))
+        out = tmp_path / "out"
+        assert dispatch(["experiment:consensus", "--graphon", "er:0.5", "--n", "10",
+                         "--order", "5", "--out-dir", str(out)]) == code
+        assert out.exists() == (code == 0)
+
+    def test_non_finite_solve_operator_and_design_exit_1(self, tmp_path, monkeypatch,
+                                                         capsys):
+        nan = np.full((3, 3), np.nan)
+        monkeypatch.setattr(galerkin, "fredholm_solve", lambda *args: nan[0])
+        monkeypatch.setattr(galerkin, "build_fg_shift",
+                            lambda *args: galerkin.OperatorMatrix(entries=nan))
+        monkeypatch.setattr(filtering, "design_filter", lambda *args, **kwargs:
+                            filtering.DesignResult(filtering.FilterCoeffs([1.0]),
+                                                   float("nan"), 1))
+        out = tmp_path / "out.csv"
+        for command in ("solve", "fg-operator"):
+            assert dispatch([command, "--graphon", "er:0.5", "--out", str(out)]) == 1
+            assert capsys.readouterr().err.endswith("produced non-finite values\n")
+        assert dispatch(["design", "--graphon", "er:0.5", "--order", "1",
+                         "--ideal", "1,0,0"]) == 1
+        assert "design residual produced non-finite values" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_input_too_large_for_memory_exits_2(self, tmp_path, monkeypatch, capsys):
+        # numpy raises MemoryError when it cannot allocate an array
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 67.1 TiB for an array")
+
+        monkeypatch.setattr(galerkin, "build_fg_shift", refuse)
+        monkeypatch.setattr(galerkin, "fredholm_solve", refuse)
+        for command, args in (("fg-operator", ["--panels", "3000000000"]),
+                              ("solve", ["--points", "100000000000"])):
+            assert dispatch([command, "--graphon", "er:0.5", *args, "--basis", "2",
+                             "--out", str(tmp_path / "x")]) == 2
+            err = capsys.readouterr().err
+            assert err == ("error: input too large for memory: Unable to "
+                           "allocate 67.1 TiB for an array\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_consensus_has_no_ideal_flag(self, tmp_path, capsys):
         assert dispatch(["experiment:consensus", "--ideal", "1,0,0,0,0",

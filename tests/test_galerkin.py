@@ -3,8 +3,7 @@ import pytest
 
 from graphonsp.galerkin import (_weight_correction, build_fg_shift,
                                 compute_tilde_w, fredholm_solve,
-                                operator_from_csv, operator_to_csv,
-                                resolvent_eigs)
+                                operator_to_csv, resolvent_eigs)
 from graphonsp.kernels import (erdos_renyi, exp_distance, exp_sum, grid_graphon,
                                sin_product)
 from graphonsp.sampling import sample_graph, scaled_adjacency
@@ -227,5 +226,5 @@ class TestOperatorCsv:
         op = build_fg_shift(exp_sum(0.5), 10, 5)
         path = tmp_path / "op.csv"
         operator_to_csv(op, path)
-        back = operator_from_csv(path)
-        np.testing.assert_allclose(back.entries, op.entries, atol=1e-15)
+        back = np.loadtxt(path, delimiter=",", ndmin=2)
+        np.testing.assert_allclose(back, op.entries, atol=1e-15)

@@ -1,4 +1,6 @@
 import itertools
+import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -65,9 +67,9 @@ def complete_graph(n):
     return Graph(n=n, adjacency=~np.eye(n, dtype=bool))
 
 
-# every prime below 2^8, smallest first: many primes, each reducing hard
-SMALL_PRIMES = tuple(p for p in range(2, 2 ** 8)
-                     if all(p % q for q in range(2, int(p ** 0.5) + 1)))
+# pairwise coprime and all composite, each reducing hard; their product
+# 6,306,300 exceeds every count on at most 6 nodes and 5 motif vertices
+SMALL_MODULI = (4, 9, 25, 49, 11 * 13)
 
 
 def einsum_dtypes(monkeypatch):
@@ -195,13 +197,13 @@ class TestHomCount:
 
     @settings(max_examples=150, deadline=None)
     @given(small_graphs(max_n=6), small_motifs(max_k=5))
-    def test_property_modular_path_with_small_primes_matches_enumeration(self, g, motif):
-        # every count reduces (none lies below 0), modulo primes below 2^8,
-        # so the CRT joins up to six residues; at these sizes every sum
-        # stays far below 2^53, so the arithmetic is exact
+    def test_property_modular_path_with_small_moduli_matches_enumeration(self, g, motif):
+        # every count reduces (none lies below 0), modulo five small
+        # composites, and the CRT joins five residues; at these sizes every
+        # sum stays far below 2^53, so the arithmetic is exact
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(homdensity, "_EXACT", 0)
-            mp.setattr(homdensity, "_primes", lambda steps, n: iter(SMALL_PRIMES))
+            mp.setattr(homdensity, "_moduli", lambda steps, n, total: SMALL_MODULI)
             assert hom_count(motif, g) == brute_force_hom(motif, g)
 
     def test_cycle8_on_random_graph_matches_int64_trace(self):
@@ -212,6 +214,60 @@ class TestHomCount:
         want = int(np.trace(a4 @ a4))
         assert want > 2 ** 53
         assert hom_count(cycle_motif(8), g) == want
+
+
+def star_motif(k):
+    return Motif(k, tuple((0, v) for v in range(1, k)))
+
+
+def check_moduli(motif, n):
+    """_moduli's contract on the plan of motif over an n-node graph; returns
+    whether the plan has exact moduli."""
+    steps, _ = homdensity._plan(motif, Graph(n=n, adjacency=np.zeros((n, n), bool)))
+    total = n ** motif.k
+
+    def fits(m):
+        return all((m - 1) ** r * n ** s < 2 ** 53 for _, _, r, s in steps)
+
+    try:
+        moduli = homdensity._moduli(steps, n, total)
+    except ValueError as exc:
+        assert "no exact float64 plan" in str(exc)
+        # pairwise-coprime moduli up to the largest fitting m, L, multiply
+        # to at most lcm(1, ..., L), which must not exceed N^K
+        largest = 1
+        while largest < 100 and fits(largest + 1):
+            largest += 1
+        assert math.lcm(*range(1, largest + 1)) <= total
+        return False
+    assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(moduli, 2))
+    assert math.prod(moduli) > total
+    assert all(fits(m) for m in moduli)
+    return True
+
+
+class TestModuli:
+    @pytest.mark.parametrize("n", [99, 800, MAX_NODES])
+    def test_every_motif_shape_up_to_five_nodes(self, n):
+        shapes = [m for k in range(1, 6) for m in all_motif_shapes(k) if m.edges]
+        exact = [check_moduli(motif, n) for motif in shapes]
+        # at N = 4096 some plans have none, K5's single step over N^5 terms
+        # among them
+        assert all(exact) == (n < MAX_NODES)
+
+    @pytest.mark.parametrize("n", [99, 800, MAX_NODES])
+    @pytest.mark.parametrize("motif", [path_motif(8), cycle_motif(8), star_motif(8)])
+    def test_eight_node_path_cycle_and_star(self, motif, n):
+        assert check_moduli(motif, n)
+
+    def test_complete_motif_without_exact_plan_fails_fast(self):
+        # hom = 120!/112! ~ 3.4e16 > 2^53: the one step over 120^8 terms
+        # would round in float64 before any reduction
+        k8 = Motif(8, tuple(itertools.combinations(range(8), 2)))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="no exact float64 plan"):
+            hom_count(k8, complete_graph(120))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestClosedFormsOnCompleteGraph:
