@@ -69,19 +69,19 @@ class QuadratureRule:
 
 
 def cheb_eval(degree: int, u) -> float:
-    """c_k(u) = cos(k * arccos(u)) for u in [-1, 1]."""
+    """c_k(u) = cos(k * arccos(u)) for u in [-1, 1]: column k of the basis matrix."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    u = np.asarray(u, dtype=float)
-    _check_range(u, -1.0, 1.0, "Chebyshev argument must lie in [-1, 1]")
-    out = np.cos(degree * np.arccos(u))
+    out = cheb_basis_matrix(u, degree + 1)[:, degree].reshape(np.shape(u))
     return float(out) if out.ndim == 0 else out
 
 
 def cheb_basis_matrix(u, n: int) -> np.ndarray:
-    """Matrix B with B[m, i] = c_i(u_m) for degrees i = 0..n-1."""
-    theta = np.arccos(np.clip(np.asarray(u, dtype=float), -1.0, 1.0))
-    return np.cos(np.outer(theta, np.arange(n)))
+    """Matrix B with B[m, i] = c_i(u_m) = cos(i * arccos(u_m)) for degrees
+    i = 0..n-1, u flattened; ValueError unless every u_m lies in [-1, 1]."""
+    u = np.asarray(u, dtype=float)
+    _check_range(u, -1.0, 1.0, "Chebyshev argument must lie in [-1, 1]")
+    return np.cos(np.outer(np.arccos(u), np.arange(n)))
 
 
 def coefficient_normalizers(n: int) -> np.ndarray:

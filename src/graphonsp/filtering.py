@@ -90,21 +90,23 @@ def apply_graph_filter(s: ShiftOperator, h: FilterCoeffs, x: np.ndarray) -> np.n
     return y
 
 
+def _powers(w_op: OperatorMatrix):
+    """W^0 = I, W^1, W^2, ...: each power is the one before times W."""
+    power = np.eye(w_op.size)
+    while True:
+        yield power
+        power = power @ w_op.entries
+
+
 def fg_filter_operator(w_op: OperatorMatrix, h: FilterCoeffs) -> np.ndarray:
     """Explicit matrix polynomial sum_k h_k W^k with W^0 the identity."""
-    n = w_op.size
-    out = np.zeros((n, n))
-    power = np.eye(n)
-    for k in range(h.order):
-        out += h.h[k] * power
-        if k + 1 < h.order:
-            power = power @ w_op.entries
-    return out
+    # zip takes a tap first, so no power is formed past the last tap
+    return sum(hk * power for hk, power in zip(h.h, _powers(w_op)))
 
 
-def _truncated_svd(a: np.ndarray, rel_tol: float):
-    """Thin SVD factors (u, s, vt) of a, keeping only the singular values
-    above rel_tol * sigma_max (none when a is zero)."""
+def _truncated_svd_solve(a: np.ndarray, b: np.ndarray, rel_tol: float):
+    """(x, rank): x = A^+ b by the thin SVD of a, keeping the rank singular
+    values above rel_tol * sigma_max (none when a is zero)."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("pseudoinverse requires a nonempty matrix")
@@ -112,14 +114,12 @@ def _truncated_svd(a: np.ndarray, rel_tol: float):
         raise ValueError("rel_tol must lie in (0, 1)")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     keep = s > rel_tol * s[0]
-    return u[:, keep], s[keep], vt[keep]
+    return (vt[keep].T / s[keep]) @ (u[:, keep].T @ b), int(keep.sum())
 
 
 def truncated_svd_pinv(a: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with singular values below
-    rel_tol * sigma_max zeroed."""
-    u, s, vt = _truncated_svd(a, rel_tol)
-    return (vt.T / s) @ u.T
+    """Moore-Penrose pseudoinverse, singular values below rel_tol * sigma_max zeroed."""
+    return _truncated_svd_solve(a, np.eye(len(np.atleast_2d(a))), rel_tol)[0]
 
 
 def design_filter(w_op: OperatorMatrix, order: int, d: IdealResponse,
@@ -134,21 +134,16 @@ def design_filter(w_op: OperatorMatrix, order: int, d: IdealResponse,
     """
     if order < 1:
         raise ValueError("filter order must be at least 1")
-    n = w_op.size
-    if len(d.d) != n:
+    if len(d.d) != w_op.size:
         raise ValueError(f"ideal response length {len(d.d)} does not match "
-                         f"operator size {n}")
-    cols = np.empty((n * n, order))
-    power = np.eye(n)
-    for k in range(order):
-        power = power @ w_op.entries
-        cols[:, k] = power.reshape(-1)
+                         f"operator size {w_op.size}")
+    powers = [p.reshape(-1) for _, p in zip(range(order + 1), _powers(w_op))]
+    cols = np.stack(powers[1:], axis=1)  # vec(W^1) .. vec(W^order)
     b = d.matrix().reshape(-1)
-    u, s, vt = _truncated_svd(cols, rel_tol)
-    h_tail = (vt.T / s) @ (u.T @ b)
+    h_tail, rank = _truncated_svd_solve(cols, b, rel_tol)
     residual = float(np.linalg.norm(cols @ h_tail - b))
     coeffs = FilterCoeffs(np.concatenate([[0.0], h_tail]))
-    return DesignResult(coeffs=coeffs, residual=residual, rank_used=len(s))
+    return DesignResult(coeffs=coeffs, residual=residual, rank_used=rank)
 
 
 def frequency_response(h_op: np.ndarray) -> np.ndarray:

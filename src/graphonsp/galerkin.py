@@ -22,7 +22,7 @@ closed form by ``_weight_correction``:
     C[k, d] = (2/pi) * (delta_kd - [k > 0 and k - d even] * (a_{|k-d|/2} + a_{(k+d)/2}))
 
 with a_0 = 0 and a_l = 1/(4l^2-1).  The factor [k > 0] is the reflection
-rule above, unchanged: no term lands on raw degree 0.  The raw matrix is
+rule above: no term lands on raw degree 0.  The raw matrix is
 never formed; the corrected n x n block is basis[:, :n]^T K (basis C), with
 K the kernel at the quadrature nodes and basis the weighted Chebyshev basis
 of degrees 0..p there.

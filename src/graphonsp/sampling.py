@@ -138,25 +138,30 @@ def scaled_adjacency(g: Graph) -> ShiftOperator:
 
 
 def apply_shift(s: ShiftOperator, x: np.ndarray) -> np.ndarray:
-    """One diffusion step S @ x, formed from the boolean adjacency a row
-    block of ~256 KB of S at a time; S is never stored whole.
+    """One diffusion step S @ x from the boolean adjacency; S is never stored."""
+    return _scaled_matvec(s.adjacency, x)
+
+
+def _scaled_matvec(m: np.ndarray, x) -> np.ndarray:
+    """(m / N) @ x for an N x N matrix m, formed a row block of ~256 KB of
+    m / N at a time: the one loop behind ``apply_shift`` and the empirical
+    step operator, which therefore agree bit for bit.
 
     Every block but the last has a multiple of 8 rows; the last holds the
     rows left over.  Measured with OpenBLAS 0.3.31 (numpy 2.4.6): the blocks
     give the same bits at 1, 2, 3, 4 and 8 threads, which the dense product
-    S @ x does not at N = 707, 781 and 2001, and they give the dense
-    product's bits at the sizes the studies use (100, 400, 500, 1600, 2000)
-    but not at N = 2001, whose last block has one row.  Other BLAS builds
-    are untested.
+    does not at N = 707, 781 and 2001, and they give the dense product's
+    bits at the sizes the studies use (100, 400, 500, 1600, 2000) but not at
+    N = 2001, whose last block has one row.  Other BLAS builds are untested.
     """
     x = np.asarray(x, dtype=float)
-    n = s.n
+    n = m.shape[0]
     if x.shape != (n,):
         raise ValueError(f"signal length {x.shape} does not match operator size {n}")
     rows = max(8, _SHIFT_BLOCK_ENTRIES // (8 * n) * 8)
     out = np.empty(n)
     for r0 in range(0, n, rows):
-        np.matmul(np.divide(s.adjacency[r0:r0 + rows], n, dtype=float), x,
+        np.matmul(np.divide(m[r0:r0 + rows], n, dtype=float), x,
                   out=out[r0:r0 + rows])
     return out
 

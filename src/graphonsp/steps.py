@@ -5,8 +5,8 @@ f_a(t) = sum_i x_i * b_i(t) where b_i has amplitude N on the i-th of N
 equal strips (strip i covers [i/N, (i+1)/N), with the final strip closed:
 the grid graphon's cell rule).  With this amplitude the operator matrix of
 an empirical graphon paired against the basis is exactly the adjacency
-matrix, which makes lifted operator application agree with the scaled
-adjacency matrix to machine precision.
+matrix, and lifted operator application runs the same row-block product
+as ``apply_shift``: it equals the scaled adjacency's action bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import Graphon, _cell_index, _check_range
+from .sampling import _scaled_matvec
 
 __all__ = [
     "StepSignal",
@@ -67,9 +68,8 @@ def step_operator_matrix(w: Graphon) -> np.ndarray:
 
     Entry (i, j) is the double integral of the kernel against b_i(x) b_j(y).
     Because the grid cells align with the strips the integral is a cell sum:
-    value * (1/N^2) * N^2 = value, so for a 0/1 empirical graphon this is
-    the adjacency matrix exactly, with no floating error.  Returns the
-    graphon's own read-only grid, not a copy.
+    value * (1/N^2) * N^2 = value: for an empirical graphon, the boolean
+    adjacency itself.  Returns the graphon's own read-only grid, not a copy.
     """
     if w.grid is None:
         raise ValueError("step basis requires a grid graphon; analytic kernels "
@@ -78,13 +78,7 @@ def step_operator_matrix(w: Graphon) -> np.ndarray:
 
 
 def apply_empirical_operator(w: Graphon, f: StepSignal) -> StepSignal:
-    """Apply the empirical-graphon Fredholm operator to a step signal.
-
-    Returns lift((1/N) * M * unlift(f)) with M the step operator matrix;
-    equals scaled-adjacency application on the corresponding graph.
-    """
-    m = step_operator_matrix(w)
-    if len(f) != m.shape[0]:
-        raise ValueError(f"signal length {len(f)} does not match grid side {m.shape[0]}")
-    y = (m @ f.coeffs) / m.shape[0]
-    return lift(y)
+    """Apply the empirical-graphon Fredholm operator to a step signal:
+    lift((1/N) * M * unlift(f)) for the step operator matrix M, by the row-block
+    loop of ``apply_shift``, whose result on the graph it equals bit for bit."""
+    return lift(_scaled_matvec(step_operator_matrix(w), f.coeffs))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from graphonsp.chebyshev import (ChebCoeffVector, QuadratureRule, cheb_eval,
+from graphonsp.chebyshev import (ChebCoeffVector, QuadratureRule,
+                                 cheb_basis_matrix, cheb_eval,
                                  map_domain_inverse, project_signal,
                                  quad_integrate, resample)
 
@@ -28,6 +29,26 @@ class TestChebEval:
         for u in (np.nan, np.array([0.0, np.nan])):
             with pytest.raises(ValueError, match=r"\[-1, 1\]"):
                 cheb_eval(1, u)
+
+    def test_basis_matrix_shares_the_domain_rule(self):
+        for u in ([1.5], [0.0, -1.0001], np.nan, [[0.5], [2.0]]):
+            with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+                cheb_basis_matrix(u, 3)
+        np.testing.assert_array_equal(cheb_basis_matrix([1.0, -1.0], 3),
+                                      [[1.0, 1.0, 1.0], [1.0, -1.0, 1.0]])
+
+    def test_eval_and_basis_matrix_are_cos_k_arccos(self):
+        u = np.concatenate([np.linspace(-1.0, 1.0, 101), QuadratureRule(16).nodes])
+        basis = cheb_basis_matrix(u, 40)
+        for k in range(40):
+            exact = np.cos(k * np.arccos(u))
+            assert basis[:, k].tobytes() == exact.tobytes()
+            assert cheb_eval(k, u).tobytes() == exact.tobytes()
+            assert cheb_eval(k, u[7]) == exact[7]
+        np.testing.assert_array_equal(cheb_eval(3, u.reshape(2, -1)),
+                                      basis[:, 3].reshape(2, -1))
+        with pytest.raises(ValueError, match="nonnegative"):
+            cheb_eval(-1, 0.5)
 
     def test_three_term_recurrence(self):
         u = np.linspace(-1, 1, 100)

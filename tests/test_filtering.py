@@ -136,6 +136,9 @@ class TestTruncatedSvdPinv:
             truncated_svd_pinv(np.zeros((0, 3)))
         with pytest.raises(ValueError):
             truncated_svd_pinv(np.eye(2), rel_tol=2.0)
+        for a in (5.0, np.ones(3), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match="nonempty matrix"):
+                truncated_svd_pinv(a)
 
 
 class TestDesignFilter:
@@ -181,6 +184,22 @@ class TestDesignFilter:
         op = build_fg_shift(erdos_renyi(0.5), 10, 5)
         with pytest.raises(ValueError):
             design_filter(op, 3, IdealResponse([1.0, 0.0]))
+
+    @pytest.mark.parametrize("w", [erdos_renyi(0.5), exp_distance(10.0),
+                                   sin_product(0.5, 0.5, 3.5)], ids=lambda w: w.label)
+    def test_taps_and_rank_are_those_of_the_pseudoinverse(self, w):
+        op = build_fg_shift(w, 10, 5)
+        d = IdealResponse([1.0, 1.0, 0.5, 0.0, 0.0])
+        powers = [np.eye(5)]
+        for _ in range(6):
+            powers.append(powers[-1] @ op.entries)
+        cols = np.stack([p.reshape(-1) for p in powers[1:]], axis=1)
+        result = design_filter(op, 6, d)
+        np.testing.assert_allclose(result.coeffs.h[1:],
+                                   truncated_svd_pinv(cols) @ d.matrix().reshape(-1),
+                                   rtol=1e-10, atol=1e-10 * np.abs(result.coeffs.h).max())
+        s = np.linalg.svd(cols, compute_uv=False)
+        assert result.rank_used == np.count_nonzero(s > 1e-8 * s[0])
 
 
 class TestFrequencyResponse:

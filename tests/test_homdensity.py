@@ -13,7 +13,7 @@ from graphonsp.homdensity import (MAX_MOTIF_NODES, Motif, edge_motif,
                                   hom_count, hom_density_graph,
                                   hom_density_graphon, path3_motif,
                                   triangle_motif)
-from graphonsp.kernels import erdos_renyi, exp_sum, grid_graphon
+from graphonsp.kernels import empirical_graphon, erdos_renyi, exp_sum, grid_graphon
 from graphonsp.sampling import MAX_NODES, Graph, sample_graph
 
 
@@ -301,6 +301,9 @@ class TestHomCountInput:
                 hom_count(motif, g)
         with pytest.raises(ValueError, match="hom_count needs"):
             hom_density_graph(edge_motif(), g)
+        # the same simple-graph rule, named after its caller
+        with pytest.raises(ValueError, match="empirical_graphon needs"):
+            empirical_graphon(g)
 
     @pytest.mark.parametrize("i, j", [(0, 599), (599, 0), (300, 10), (255, 256),
                                       (513, 512), (100, 101)])
@@ -309,6 +312,8 @@ class TestHomCountInput:
         adj[i, j] = False
         with pytest.raises(ValueError, match="symmetric"):
             hom_count(edge_motif(), Graph(n=600, adjacency=adj))
+        with pytest.raises(ValueError, match="empirical_graphon needs a symmetric"):
+            empirical_graphon(Graph(n=600, adjacency=adj))
 
     def test_numpy_integer_node_count_does_not_wrap(self):
         # 300^8 wraps in int64

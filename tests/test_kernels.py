@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from graphonsp.kernels import (empirical_graphon, erdos_renyi,
                                exp_distance, exp_sum, grid_from_csv,
                                grid_graphon, grid_to_csv, l2_distance,
                                sin_product)
-from graphonsp.sampling import sample_graph
+from graphonsp.sampling import Graph, sample_graph
 
 
 def complete_graph(n):
@@ -174,6 +175,25 @@ class TestEmpiricalGraphon:
         probs = w.eval(mids[:, None], mids[None, :])
         assert set(np.unique(probs)) <= {0.0, 1.0}
         np.testing.assert_array_equal(probs, g.adjacency.astype(float))
+
+    def test_grid_is_a_read_only_view_of_the_adjacency(self):
+        adj = np.array([[False, True], [True, False]])  # writeable
+        w = empirical_graphon(Graph(n=2, adjacency=adj))
+        assert w.grid.dtype == bool and np.shares_memory(w.grid, adj)
+        assert not w.grid.flags.writeable and adj.flags.writeable
+
+    def test_no_float_copy_of_the_adjacency(self):
+        # a float64 copy of A checked by np.allclose would peak near 25 N^2 bytes
+        n = 2048
+        g = sample_graph(erdos_renyi(0.5), n, seed=2)
+        tracemalloc.start()
+        try:
+            w = empirical_graphon(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * n
+        assert w.grid.dtype == bool
 
 
 class TestL2Distance:

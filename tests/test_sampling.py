@@ -240,16 +240,19 @@ class TestApplyShift:
             apply_shift(scaled_adjacency(g), np.ones(6))
 
     def test_bits_do_not_depend_on_blas_threads(self):
-        # sizes where one dense S @ x gives different bits at 1 and 2 threads
+        # sizes where one dense S @ x gives different bits at 1 and 2 threads;
+        # the empirical step operator runs the same product on the same grid
         script = (
             "import hashlib, numpy as np\n"
-            "from graphonsp.kernels import exp_sum\n"
+            "from graphonsp.kernels import empirical_graphon, exp_sum\n"
             "from graphonsp.sampling import apply_shift, sample_graph, scaled_adjacency\n"
+            "from graphonsp.steps import apply_empirical_operator, lift\n"
             "h = hashlib.sha256()\n"
             "for n in (707, 781, 2001):\n"
-            "    s = scaled_adjacency(sample_graph(exp_sum(0.5), n, seed=n))\n"
+            "    g = sample_graph(exp_sum(0.5), n, seed=n)\n"
             "    x = np.random.default_rng(n).standard_normal(n)\n"
-            "    h.update(apply_shift(s, x).tobytes())\n"
+            "    h.update(apply_shift(scaled_adjacency(g), x).tobytes())\n"
+            "    h.update(apply_empirical_operator(empirical_graphon(g), lift(x)).coeffs.tobytes())\n"
             "print(h.hexdigest())\n")
         src = str(Path(sampling.__file__).resolve().parents[1])
         digests = []
