@@ -9,6 +9,7 @@ with the motif size.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -16,7 +17,7 @@ from typing import Tuple
 import numpy as np
 
 from .kernels import Graphon, _check_adjacency
-from .sampling import Graph, _coerce_seed
+from .sampling import MAX_NODES, Graph, _coerce_seed
 
 __all__ = [
     "Motif",
@@ -39,8 +40,8 @@ _EXACT = 2 ** 53
 
 @dataclass(frozen=True)
 class Motif:
-    """Simple undirected pattern graph on k nodes, 1 <= k <= MAX_MOTIF_NODES: the
-    bound on hom_count's N^K enumeration and hom_density_graphon's K-tuples."""
+    """Simple undirected pattern graph on k nodes, 1 <= k <= MAX_MOTIF_NODES, the
+    bound on hom_count's 2^K-set plan search and hom_density_graphon's K-tuples."""
 
     k: int
     edges: Tuple[Tuple[int, int], ...]
@@ -76,113 +77,111 @@ def path3_motif() -> Motif:
 
 
 def hom_count(f: Motif, g: Graph) -> int:
-    """Number of adjacency-preserving maps V(F) -> V(G), exact at every size.
+    """Number of adjacency-preserving maps V(F) -> V(G), exact at every size;
+    it equals brute-force enumeration of all N^K maps.
 
-    The count is one contraction of the motif's factors: the adjacency for
-    each motif edge and a vector of ones for each motif vertex of degree 0
-    or 1, so a leaf is summed out by a matrix-vector product before anything
-    larger is formed.  ``np.einsum_path`` (greedy) orders it as pairwise
-    steps, each run as one float64 BLAS contraction.  It equals brute-force
-    enumeration of all N^K maps.
+    Each isolated motif vertex is a factor N, in Python integers.  The others
+    are summed out one per step (``_plan``): a step takes the running factor
+    x and one float64 adjacency per edge from the eliminated vertex v to a
+    vertex not yet eliminated, and sums over v only.
 
-    Every entry of every intermediate counts maps of some motif vertices,
-    so none exceeds N^K.  While N^K < 2^53 the steps run once and no partial
-    sum rounds.  Otherwise they run once per modulus m, every intermediate
-    reduced by ``np.fmod`` to [0, m).  A step joining r reduced inputs over
-    n^s summed terms has every partial sum at most (m - 1)^r * n^s
-    (adjacency and ones entries are <= 1).  The moduli are pairwise coprime,
-    taken downwards from the largest m that keeps this bound below 2^53 at
-    every step, r = 0 included, until their product exceeds N^K; the CRT
-    joins the residues in Python integers, giving the count in [0, N^K].
+    While N^K < 2^53 (K counting the vertices with an edge) no sum exceeds
+    N^K and the plan runs once.  Otherwise it runs once per modulus m, x
+    reduced by ``np.fmod`` to [0, m) after every step, so a partial sum adds
+    at most N terms, each an entry of x times 0/1 entries, and stays below
+    (m - 1) * N < 2^53 for every motif.  The moduli are pairwise coprime with
+    a product above N^K; the CRT joins the residues in Python integers.
 
-    Raises ValueError unless ``g.adjacency`` is a boolean (n, n) matrix that
-    is symmetric with a zero diagonal, which the count assumes, and before
-    any contraction if no moduli fit: a step summing n^s >= 2^53 terms, as
-    the single step of a complete motif does once N^K >= 2^53, allows none.
+    Raises ValueError unless ``g.adjacency`` is a boolean, symmetric (n, n)
+    matrix with a zero diagonal, and before any contraction if x would hold
+    more than MAX_NODES^2 entries, the adjacency copy's size at N=MAX_NODES.
     """
     _check_adjacency(g.adjacency, g.n, "hom_count")
     n = int(g.n)  # a numpy integer n would wrap in n ** k
-    total = n ** f.k
-    if not f.edges:
-        return total
-    steps, operands = _plan(f, g)
+    steps, width = _plan(f)
+    isolated = n ** (f.k - len(steps))
+    if not steps:
+        return isolated
+    if n ** width > MAX_NODES ** 2:
+        raise ValueError(f"hom_count: this motif needs a factor of N^{width} = "
+                         f"{n ** width} entries at N={n}, above MAX_NODES^2")
+    a = g.adjacency.astype(np.float64)
+    total = n ** len(steps)
     if total < _EXACT:
-        return int(_contract(steps, operands, None))
-    moduli = _moduli(steps, n, total)
-    return _crt([int(_contract(steps, operands, m)) for m in moduli], moduli)
+        return isolated * int(_contract(steps, a, None))
+    moduli = _moduli(n, total)
+    return isolated * _crt([int(_contract(steps, a, m)) for m in moduli], moduli)
 
 
-def _plan(f: Motif, g: Graph):
-    """The pairwise steps of hom(F, G) and its operands.
+@functools.lru_cache(maxsize=None)
+def _plan(f: Motif):
+    """Cached elimination plan of hom(F, G): one step per vertex with an edge,
+    and the width, the most indices the running factor x ever holds.
 
-    Each step is (positions, subscripts, r, s): the operand positions it
-    takes (popped in that order, its result appended, as in ``np.einsum``),
-    its subscripts, the number of its inputs that are earlier results, and
-    the number of indices it sums out.
+    A step is (subscripts, edges, optimize): x (absent at the first step) and
+    ``edges`` adjacency operands in, x out, and whether ``np.einsum`` may
+    split it into BLAS calls.  Once a vertex set S is summed out, x is
+    indexed by the vertices outside S with a neighbour in S, whatever the
+    order, so a dynamic programme over the 2^K sets finds an order of least
+    width; ties go to the least work, the sum of MAX_NODES^(indices of a step).
     """
-    degree = [0] * f.k
+    nbrs = [0] * f.k
     for a, b in f.edges:
-        degree[a] += 1
-        degree[b] += 1
+        nbrs[a] |= 1 << b
+        nbrs[b] |= 1 << a
+    live = sum(1 << v for v in range(f.k) if nbrs[v])
+    held = {0: 0}  # set -> x's vertices once it is summed out
+    best = {0: (0, 0, ())}  # set -> (width, work, order)
+    for s in range(1, live + 1):
+        if s & ~live:
+            continue
+        low = (s & -s).bit_length() - 1
+        held[s] = (held[s ^ 1 << low] | nbrs[low]) & ~s
+        options = []
+        for v in range(f.k):
+            if s >> v & 1:
+                width, work, order = best[s ^ 1 << v]
+                size = (held[s ^ 1 << v] | held[s] | 1 << v).bit_count()
+                options.append((max(width, held[s].bit_count()),
+                                work + MAX_NODES ** size, order + (v,)))
+        best[s] = min(options)
+    width, _, order = best[live]
     letters = "abcdefgh"
-    terms = [letters[a] + letters[b] for a, b in f.edges]
-    terms += [letters[v] for v in range(f.k) if degree[v] < 2]
-    operands = ([g.adjacency.astype(np.float64)] * len(f.edges)
-                + [np.ones(g.n)] * (len(terms) - len(f.edges)))
-    path = np.einsum_path(",".join(terms) + "->", *operands, optimize="greedy")[0]
-    reduced = [False] * len(terms)
-    steps = []
-    for positions in path[1:]:
-        positions = sorted(positions, reverse=True)
-        taken = [terms.pop(i) for i in positions]
-        joined = set("".join(taken))
-        out = "".join(sorted(joined & set("".join(terms))))
-        r = sum(reduced.pop(i) for i in positions)
-        steps.append((positions, ",".join(taken) + "->" + out, r,
-                      len(joined) - len(out)))
-        terms.append(out)
-        reduced.append(True)
-    return steps, operands
+    steps, x, done = [], None, 0
+    for v in order:
+        new = nbrs[v] & ~done
+        # adding no index to x, a step is one elementwise pass: no BLAS
+        optimize = bool((new | 1 << v) & ~held[done])
+        done |= 1 << v
+        # A is symmetric: A[u, v] serves for the edge (v, u)
+        terms = [] if x is None else [x]
+        terms += [letters[u] + letters[v] for u in range(f.k) if new >> u & 1]
+        x = "".join(letters[u] for u in range(f.k) if held[done] >> u & 1)
+        steps.append((",".join(terms) + "->" + x, new.bit_count(), optimize))
+    return tuple(steps), width
 
 
-def _contract(steps, operands, m):
-    """Run the plan, reducing every intermediate modulo m unless m is None."""
-    operands = list(operands)
-    for positions, subscripts, _, _ in steps:
-        out = np.einsum(subscripts, *[operands.pop(i) for i in positions],
-                        optimize=True)
-        operands.append(out if m is None else np.fmod(out, m))
-    return operands[0]
+def _contract(steps, a, m):
+    """Run the plan on the float64 adjacency a, x reduced modulo m unless None."""
+    x = None
+    for subscripts, edges, optimize in steps:
+        x = np.einsum(subscripts, *([] if x is None else [x]), *[a] * edges,
+                      optimize=optimize)
+        if m is not None:
+            x = np.fmod(x, m)
+    return x
 
 
-def _moduli(steps, n, total):
-    """Pairwise-coprime moduli m, largest first, whose product exceeds total,
-    each with (m - 1)^r * n^s < 2^53 at every step of the plan."""
-    limit = _EXACT
-    for _, _, r, s in steps:
-        room = (_EXACT - 1) // n ** s  # the largest (m - 1)^r the step allows
-        if not room:
-            limit = 1  # n^s terms alone can round: no modulus helps
-        elif r:
-            limit = min(limit, _iroot(room, r) + 1)
-    moduli, product = [], 1
-    for m in range(limit, 1, -1):
+def _moduli(n, total):
+    """Pairwise-coprime moduli m, largest first, each with (m - 1) * n < 2^53,
+    whose product exceeds total."""
+    moduli, product, m = [], 1, (_EXACT - 1) // n + 1
+    while product <= total:
         if math.gcd(m, product) == 1:
             moduli.append(m)
             product *= m
-            if product > total:
-                return moduli
-    raise ValueError(f"no exact float64 plan for N^K = {total} at N={n}")
-
-
-def _iroot(x: int, r: int) -> int:
-    """Largest m >= 0 with m^r <= x."""
-    m = int(round(x ** (1 / r)))
-    while m ** r > x:
         m -= 1
-    while (m + 1) ** r <= x:
-        m += 1
-    return m
+    return moduli
 
 
 def _crt(residues, moduli) -> int:

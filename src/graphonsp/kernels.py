@@ -138,13 +138,14 @@ def exp_distance(alpha: float) -> Graphon:
 
 def grid_graphon(grid: np.ndarray, label: str = "grid") -> Graphon:
     """Wrap a square symmetric matrix of values in [0,1] as a grid graphon
-    that holds its own read-only copy of the values."""
+    that holds its own read-only copy of the values, symmetrised exactly."""
     grid = np.array(grid, dtype=float)
     if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
         raise ValueError("grid graphon requires a square matrix")
     _check_range(grid, 0.0, 1.0, "grid graphon values must be finite and lie in [0, 1]")
     if not np.allclose(grid, grid.T):
         raise ValueError("grid graphon requires a symmetric matrix")
+    grid = (grid + grid.T) / 2  # W(x, y) = W(y, x); a symmetric grid keeps its bits
     grid.flags.writeable = False
     return Graphon(label=label, grid=grid)
 

@@ -167,7 +167,11 @@ def _scaled_matvec(m: np.ndarray, x) -> np.ndarray:
 
 
 def graph_to_edgelist(g: Graph, path, latent_path=None) -> None:
-    """Write 'n <N>' then one 0-based 'i j' line per edge, i < j."""
+    """Write 'n <N>' then one 0-based 'i j' line per edge, i < j, and the
+    latent positions to ``latent_path`` if given; ValueError, before writing
+    anything, if it is given for a graph without latent positions."""
+    if latent_path is not None and g.latent is None:
+        raise ValueError("graph has no latent positions to write")
     names = np.array([str(k) for k in range(g.n)], dtype=object)
     with open(path, "w") as fh:
         fh.write(f"n {g.n}\n")
@@ -175,7 +179,7 @@ def graph_to_edgelist(g: Graph, path, latent_path=None) -> None:
             js = names[i + 1:][g.adjacency[i, i + 1:]]
             if js.size:
                 fh.write(f"{i} " + f"\n{i} ".join(js) + "\n")
-    if latent_path is not None and g.latent is not None:
+    if latent_path is not None:
         np.savetxt(latent_path, g.latent, delimiter=",")
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -151,6 +152,14 @@ class TestHomCount:
         padded = Motif(3, ((0, 1),))
         assert hom_count(padded, g) == 9 * hom_count(edge_motif(), g)
 
+    def test_isolated_vertex_on_the_modular_path(self):
+        # 800^7 > 2^53, so the 7-node path runs modulo the moduli; the
+        # isolated vertex is a factor N outside them
+        assert 800 ** 7 > 2 ** 53
+        g = sample_graph(erdos_renyi(0.1), 800, seed=13)
+        padded = Motif(8, tuple((i, i + 1) for i in range(6)))
+        assert hom_count(padded, g) == 800 * walks(g, 6)
+
     def test_size_guard(self):
         g = sample_graph(erdos_renyi(0.5), 4, seed=0)
         with pytest.raises(ValueError):
@@ -203,7 +212,7 @@ class TestHomCount:
         # sum stays far below 2^53, so the arithmetic is exact
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(homdensity, "_EXACT", 0)
-            mp.setattr(homdensity, "_moduli", lambda steps, n, total: SMALL_MODULI)
+            mp.setattr(homdensity, "_moduli", lambda n, total: SMALL_MODULI)
             assert hom_count(motif, g) == brute_force_hom(motif, g)
 
     def test_cycle8_on_random_graph_matches_int64_trace(self):
@@ -220,54 +229,109 @@ def star_motif(k):
     return Motif(k, tuple((0, v) for v in range(1, k)))
 
 
-def check_moduli(motif, n):
-    """_moduli's contract on the plan of motif over an n-node graph; returns
-    whether the plan has exact moduli."""
-    steps, _ = homdensity._plan(motif, Graph(n=n, adjacency=np.zeros((n, n), bool)))
-    total = n ** motif.k
+def complete_motif(k):
+    return Motif(k, tuple(itertools.combinations(range(k), 2)))
 
-    def fits(m):
-        return all((m - 1) ** r * n ** s < 2 ** 53 for _, _, r, s in steps)
 
-    try:
-        moduli = homdensity._moduli(steps, n, total)
-    except ValueError as exc:
-        assert "no exact float64 plan" in str(exc)
-        # pairwise-coprime moduli up to the largest fitting m, L, multiply
-        # to at most lcm(1, ..., L), which must not exceed N^K
-        largest = 1
-        while largest < 100 and fits(largest + 1):
-            largest += 1
-        assert math.lcm(*range(1, largest + 1)) <= total
-        return False
+def has_k4_minor(motif):
+    """Whether the motif has four disjoint connected vertex sets, pairwise
+    joined by an edge; tries every assignment of vertices to them."""
+    adj = set(motif.edges) | {(b, a) for a, b in motif.edges}
+
+    def connected(part):
+        seen, todo = set(), [part[0]]
+        while todo:
+            v = todo.pop()
+            seen.add(v)
+            todo += [u for u in part if (v, u) in adj and u not in seen]
+        return len(seen) == len(part)
+
+    for label in itertools.product(range(5), repeat=motif.k):  # 4: unused
+        parts = [[v for v in range(motif.k) if label[v] == i] for i in range(4)]
+        if (all(parts) and all(map(connected, parts))
+                and all(any((a, b) in adj for a in p for b in q)
+                        for p, q in itertools.combinations(parts, 2))):
+            return True
+    return False
+
+
+def check_moduli(n, total):
+    """_moduli's contract: pairwise coprime, a product above total, and
+    (m - 1) * n < 2^53 for every m, the bound every plan's sums obey."""
+    moduli = homdensity._moduli(n, total)
     assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(moduli, 2))
     assert math.prod(moduli) > total
-    assert all(fits(m) for m in moduli)
-    return True
+    assert all((m - 1) * n < 2 ** 53 for m in moduli)
+    return moduli
+
+
+def contract_calls(monkeypatch):
+    """Replace _contract by a stub that records its modulus and returns 0."""
+    calls = []
+
+    def stub(steps, a, m):
+        calls.append(m)
+        return 0
+
+    monkeypatch.setattr(homdensity, "_contract", stub)
+    return calls
 
 
 class TestModuli:
     @pytest.mark.parametrize("n", [99, 800, MAX_NODES])
-    def test_every_motif_shape_up_to_five_nodes(self, n):
-        shapes = [m for k in range(1, 6) for m in all_motif_shapes(k) if m.edges]
-        exact = [check_moduli(motif, n) for motif in shapes]
-        # at N = 4096 some plans have none, K5's single step over N^5 terms
-        # among them
-        assert all(exact) == (n < MAX_NODES)
+    def test_every_motif_shape_up_to_five_nodes(self, n, monkeypatch):
+        calls = contract_calls(monkeypatch)
+        g = Graph(n=n, adjacency=np.zeros((n, n), bool))
+        refused = 0
+        for motif in (m for k in range(1, 6) for m in all_motif_shapes(k) if m.edges):
+            calls.clear()
+            try:
+                hom_count(motif, g)
+            except ValueError as exc:
+                assert "MAX_NODES^2" in str(exc) and not calls
+                refused += 1
+                continue
+            # the isolated vertices stay outside the moduli's product
+            total = n ** len({v for e in motif.edges for v in e})
+            assert calls == ([None] if total < 2 ** 53 else check_moduli(n, total))
+        # x above MAX_NODES^2 entries: K5 (width 4) from N = 65, and from
+        # N = 257 the 8 shapes with a K4 minor (width 3)
+        assert refused == {99: 1, 800: 8, MAX_NODES: 8}[n]
 
     @pytest.mark.parametrize("n", [99, 800, MAX_NODES])
     @pytest.mark.parametrize("motif", [path_motif(8), cycle_motif(8), star_motif(8)])
-    def test_eight_node_path_cycle_and_star(self, motif, n):
-        assert check_moduli(motif, n)
+    def test_eight_node_path_cycle_and_star(self, motif, n, monkeypatch):
+        calls = contract_calls(monkeypatch)
+        hom_count(motif, Graph(n=n, adjacency=np.zeros((n, n), bool)))
+        # moduli near 2^53 / N: two exceed N^8 up to N = 800, three at 4096
+        assert calls == check_moduli(n, n ** 8)
+        assert len(calls) == (3 if n == MAX_NODES else 2)
 
     def test_complete_motif_without_exact_plan_fails_fast(self):
-        # hom = 120!/112! ~ 3.4e16 > 2^53: the one step over 120^8 terms
-        # would round in float64 before any reduction
-        k8 = Motif(8, tuple(itertools.combinations(range(8), 2)))
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match="no exact float64 plan"):
-            hom_count(k8, complete_graph(120))
-        assert time.perf_counter() - start < 1.0
+        # K4 needs an N^3-entry factor, K8 an N^7 one: both exceed
+        # MAX_NODES^2 here, and the guard fires before the float64 copy
+        for k, n in ((4, 300), (8, 120)):
+            g = complete_graph(n)
+            tracemalloc.start()
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="MAX_NODES"):
+                hom_count(complete_motif(k), g)
+            assert time.perf_counter() - start < 1.0
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 8 * n * n
+
+
+class TestPlan:
+    def test_width_at_most_two_exactly_without_a_k4_minor(self):
+        shapes = [m for k in range(1, 6) for m in all_motif_shapes(k) if m.edges]
+        narrow = [homdensity._plan(m)[1] <= 2 for m in shapes]
+        assert narrow == [not has_k4_minor(m) for m in shapes]
+        assert (len(shapes), sum(narrow)) == (47, 39)
+
+    @pytest.mark.parametrize("motif", [path_motif(8), star_motif(8)])
+    def test_trees_on_eight_nodes_have_width_one(self, motif):
+        assert homdensity._plan(motif)[1] == 1
 
 
 class TestClosedFormsOnCompleteGraph:
@@ -283,6 +347,16 @@ class TestClosedFormsOnCompleteGraph:
         g = complete_graph(n)
         for k in range(3, MAX_MOTIF_NODES + 1):
             assert hom_count(cycle_motif(k), g) == (n - 1) ** k + (-1) ** k * (n - 1), k
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 17, 60])
+    def test_complete_motifs(self, n):
+        # every map from K_k into a simple graph is injective
+        g = complete_graph(n)
+        for k in (4, 5):
+            assert hom_count(complete_motif(k), g) == math.perm(n, k), k
+        # an isolated fifth vertex is a factor n
+        k4_plus_one = Motif(5, complete_motif(4).edges)
+        assert hom_count(k4_plus_one, g) == n * math.perm(n, 4)
 
 
 class TestHomCountInput:

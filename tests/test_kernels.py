@@ -141,6 +141,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             grid_graphon(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_nearly_symmetric_grid_is_stored_symmetric(self, tmp_path):
+        # within allclose of its transpose, so accepted; W must still be
+        # symmetric, from the library and from a CSV
+        grid = np.array([[0.0, 1e-9], [0.0, 0.0]])
+        path = tmp_path / "grid.csv"
+        np.savetxt(path, grid, delimiter=",")
+        for w in (grid_graphon(grid), grid_from_csv(path)):
+            assert w.eval(0.1, 0.9) == w.eval(0.9, 0.1) == 5e-10
+            np.testing.assert_array_equal(w.grid, w.grid.T)
+
+    def test_symmetric_grid_keeps_its_bits(self):
+        rng = np.random.default_rng(3)
+        grid = rng.random((5, 5))
+        grid = np.triu(grid) + np.triu(grid, 1).T
+        np.testing.assert_array_equal(grid_graphon(grid).grid, grid)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_grid_must_be_finite(self, bad, tmp_path):
         grid = np.array([[0.0, bad], [bad, 0.0]])

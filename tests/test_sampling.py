@@ -277,6 +277,13 @@ class TestEdgelistIO:
         np.testing.assert_array_equal(back.adjacency, g.adjacency)
         np.testing.assert_allclose(back.latent, g.latent)
 
+    def test_latent_path_without_latent_positions_rejected(self, tmp_path):
+        g = Graph(n=3, adjacency=~np.eye(3, dtype=bool))
+        path, lpath = tmp_path / "g.edges", tmp_path / "latent.csv"
+        with pytest.raises(ValueError, match="no latent positions"):
+            graph_to_edgelist(g, path, latent_path=lpath)
+        assert not path.exists() and not lpath.exists()
+
     def test_header_format(self, tmp_path):
         g = sample_graph(erdos_renyi(1.0), 3, seed=0)
         path = tmp_path / "g.edges"
