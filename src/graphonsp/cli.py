@@ -22,6 +22,12 @@ from .experiments import ExperimentConfig, input_function
 __all__ = ["main", "dispatch", "parse_graphon_spec", "parse_motif_spec"]
 
 
+_GRAPHONS = {"er": kernels.erdos_renyi, "sinprod": kernels.sin_product,
+             "expsum": kernels.exp_sum, "expdist": kernels.exp_distance}
+_MOTIFS = {"edge": homdensity.edge_motif, "triangle": homdensity.triangle_motif,
+           "path3": homdensity.path3_motif}
+
+
 def parse_graphon_spec(spec: str) -> kernels.Graphon:
     """Build a graphon from an id string.
 
@@ -31,31 +37,20 @@ def parse_graphon_spec(spec: str) -> kernels.Graphon:
     if ":" not in spec:
         raise ValueError(f"malformed graphon spec {spec!r}: expected '<id>:<params>'")
     kind, _, params = spec.partition(":")
+    if kind != "file" and kind not in _GRAPHONS:
+        raise ValueError(f"unknown graphon id {kind!r} in spec {spec!r}")
     try:
-        if kind == "er":
-            return kernels.erdos_renyi(float(params))
-        if kind == "sinprod":
-            a, b, c = (float(v) for v in params.split(","))
-            return kernels.sin_product(a, b, c)
-        if kind == "expsum":
-            return kernels.exp_sum(float(params))
-        if kind == "expdist":
-            return kernels.exp_distance(float(params))
         if kind == "file":
             return kernels.grid_from_csv(params, label=spec)
+        return _GRAPHONS[kind](*map(float, params.split(",")))
     except Exception as exc:
         raise ValueError(f"malformed graphon spec {spec!r}: {exc}") from exc
-    raise ValueError(f"unknown graphon id {kind!r} in spec {spec!r}")
 
 
 def parse_motif_spec(spec: str) -> homdensity.Motif:
     """Named motif or ``custom:<i>-<j>,...`` edge list."""
-    if spec == "edge":
-        return homdensity.edge_motif()
-    if spec == "triangle":
-        return homdensity.triangle_motif()
-    if spec == "path3":
-        return homdensity.path3_motif()
+    if spec in _MOTIFS:
+        return _MOTIFS[spec]()
     if spec.startswith("custom:"):
         pairs = []
         for chunk in spec[len("custom:"):].split(","):

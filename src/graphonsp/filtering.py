@@ -64,7 +64,10 @@ class IdealResponse:
     d: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "d", np.asarray(self.d, dtype=float))
+        d = np.asarray(self.d, dtype=float)
+        if d.ndim != 1 or d.size < 1 or not np.all(np.isfinite(d)):
+            raise ValueError("ideal response must be a nonempty finite vector")
+        object.__setattr__(self, "d", d)
 
     def matrix(self):
         return np.diag(self.d)

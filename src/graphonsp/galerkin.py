@@ -65,14 +65,15 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
-def _kernel_and_basis(w: Graphon, p: int):
-    """Kernel K at the p-panel rule's nodes (mapped to [0,1]) and the weighted
-    basis B[m, i] = weight_m * c_i(node_m) for degrees i = 0..p."""
+def _galerkin(w: Graphon, p: int, rows: int, right: np.ndarray) -> np.ndarray:
+    """B[:, :rows]^T K (B @ right): K is the kernel at the p-panel rule's nodes
+    (mapped to [0,1]), B[m, i] = weight_m * c_i(node_m) the weighted basis of
+    degrees i = 0..p, and ``right`` maps its p+1 raw columns to the output's."""
     rule = QuadratureRule(p)
     x = map_domain_inverse(rule.nodes)
     kernel = w.eval(x[:, None], x[None, :])
     basis = rule.weights[:, None] * cheb_basis_matrix(rule.nodes, p + 1)
-    return kernel, basis
+    return basis[:, :rows].T @ kernel @ (basis @ right)
 
 
 def _weight_correction(p: int, n: int) -> np.ndarray:
@@ -99,11 +100,9 @@ def compute_tilde_w(w: Graphon, p: int, n_pad: int) -> OperatorMatrix:
     """
     if n_pad < 1:
         raise ValueError("padded size must be positive")
-    kernel, basis = _kernel_and_basis(w, p)
     n_live = min(n_pad, p + 1)
-    basis = basis[:, :n_live]
     entries = np.zeros((n_pad, n_pad))
-    entries[:n_live, :n_live] = basis.T @ kernel @ basis
+    entries[:n_live, :n_live] = _galerkin(w, p, n_live, np.eye(p + 1, n_live))
     entries.flags.writeable = False
     return OperatorMatrix(entries=entries)
 
@@ -112,8 +111,7 @@ def build_fg_shift(w: Graphon, p: int, n: int) -> OperatorMatrix:
     """Fourier-Galerkin shift operator: tilde sums with the weight correction
     C folded in, then normalization onto unit-series coefficients."""
     _check_basis_size(p, n)
-    kernel, basis = _kernel_and_basis(w, p)
-    corrected = basis[:, :n].T @ kernel @ (basis @ _weight_correction(p, n))
+    corrected = _galerkin(w, p, n, _weight_correction(p, n))
     entries = corrected / (2.0 * coefficient_normalizers(n))[:, None]
     entries.flags.writeable = False
     return OperatorMatrix(entries=entries)

@@ -1,14 +1,15 @@
 """Graphon kernels: bounded symmetric functions on the unit square.
 
-A graphon is evaluated pointwise on [0,1]^2 and is either analytic (a
-closure) or a piecewise-constant grid, boolean when it is a graph's
-adjacency.  Values are immutable after construction, so graphons are safe
+A graphon is evaluated pointwise on [0,1]^2 by one closure: an analytic
+formula, or the cell lookup of a piecewise-constant grid, boolean when it
+is a graph's adjacency.  Values are immutable after construction, so graphons are safe
 to share across threads.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,17 +64,16 @@ def _check_adjacency(adj, n, caller: str) -> None:
 
 @dataclass(frozen=True)
 class Graphon:
-    """Symmetric kernel W : [0,1]^2 -> [0,1].
-
-    Either analytic (``func`` holds a vectorized closure) or a grid
-    (``grid`` holds a square symmetric M x M matrix of float or boolean cell
-    values; ``func`` is None).  A grid graphon takes the value of the cell
-    pair holding (x, y), where cell i is [i/M, (i+1)/M) in each coordinate
-    and the last cell is closed at 1.0, so evaluation is total on the square.
+    """Symmetric kernel W : [0,1]^2 -> [0,1], evaluated by the vectorized
+    closure ``func`` of two float arrays.  A grid graphon's ``func`` takes the
+    value of the cell pair holding (x, y), where cell i is [i/M, (i+1)/M) in
+    each coordinate and the last cell is closed at 1.0, so evaluation is total
+    on the square; its square symmetric M x M float or boolean cells stay in
+    ``grid`` for ``steps.step_operator_matrix`` and ``grid_to_csv``.
     """
 
     label: str
-    func: object = None
+    func: object
     grid: np.ndarray = field(default=None, repr=False)
 
     def eval(self, x, y):
@@ -85,11 +85,7 @@ class Graphon:
         y = np.asarray(y, dtype=float)
         for arg in (x, y):
             _check_range(arg, 0.0, 1.0, "graphon arguments must lie in [0, 1]")
-        if self.grid is not None:
-            m = self.grid.shape[0]
-            out = self.grid[_cell_index(x, m), _cell_index(y, m)]
-        else:
-            out = self.func(x, y)
+        out = self.func(x, y)
         if np.ndim(out) == 0 and np.ndim(x) == 0 and np.ndim(y) == 0:
             return float(out)
         return np.broadcast_to(out, np.broadcast_shapes(x.shape, y.shape)).astype(float)
@@ -98,7 +94,8 @@ class Graphon:
 def erdos_renyi(p: float) -> Graphon:
     """Constant kernel W(x,y) = p.  Requires p in [0, 1]."""
     _check_range(p, 0.0, 1.0, f"er: edge probability must be in [0,1], got {p}")
-    return Graphon(f"er:{p:g}", lambda x, y: np.broadcast_to(float(p), np.broadcast_shapes(np.shape(x), np.shape(y))))
+    value = float(p)
+    return Graphon(f"er:{p:g}", lambda x, y: value)
 
 
 def sin_product(a: float, b: float, c: float) -> Graphon:
@@ -111,7 +108,7 @@ def sin_product(a: float, b: float, c: float) -> Graphon:
     _check_range(c * math.pi, -_FLOAT_MAX, _FLOAT_MAX,
                  f"sinprod: c*pi must be finite, got c={c}")
     return Graphon(f"sinprod:{a:g},{b:g},{c:g}",
-                   lambda x, y: a + b * np.sin(c * np.pi * np.asarray(x) * np.asarray(y)))
+                   lambda x, y: a + b * np.sin(c * np.pi * x * y))
 
 
 def exp_sum(alpha: float) -> Graphon:
@@ -123,7 +120,7 @@ def exp_sum(alpha: float) -> Graphon:
         # alpha*(x+y) may overflow to inf for a huge finite alpha; exp(-inf)
         # = 0 is then the right value
         with np.errstate(over="ignore"):
-            return np.exp(-alpha * (np.asarray(x) + np.asarray(y)))
+            return np.exp(-alpha * (x + y))
 
     return Graphon(f"expsum:{alpha:g}", w)
 
@@ -133,7 +130,16 @@ def exp_distance(alpha: float) -> Graphon:
     _check_range(alpha, 0.0, _FLOAT_MAX,
                  f"expdist: decay rate must be finite and nonnegative, got {alpha}")
     return Graphon(f"expdist:{alpha:g}",
-                   lambda x, y: np.exp(-alpha * np.abs(np.asarray(x) - np.asarray(y))))
+                   lambda x, y: np.exp(-alpha * np.abs(x - y)))
+
+
+def _grid_graphon(grid: np.ndarray, label: str) -> Graphon:
+    """Graphon of a square symmetric grid, which this makes read-only."""
+    if grid.size == 0:
+        raise ValueError("grid graphon requires a nonempty matrix")
+    grid.flags.writeable = False
+    m = len(grid)
+    return Graphon(label, lambda x, y: grid[_cell_index(x, m), _cell_index(y, m)], grid)
 
 
 def grid_graphon(grid: np.ndarray, label: str = "grid") -> Graphon:
@@ -145,9 +151,7 @@ def grid_graphon(grid: np.ndarray, label: str = "grid") -> Graphon:
     _check_range(grid, 0.0, 1.0, "grid graphon values must be finite and lie in [0, 1]")
     if not np.allclose(grid, grid.T):
         raise ValueError("grid graphon requires a symmetric matrix")
-    grid = (grid + grid.T) / 2  # W(x, y) = W(y, x); a symmetric grid keeps its bits
-    grid.flags.writeable = False
-    return Graphon(label=label, grid=grid)
+    return _grid_graphon((grid + grid.T) / 2, label)  # a symmetric grid keeps its bits
 
 
 def empirical_graphon(graph) -> Graphon:
@@ -158,9 +162,7 @@ def empirical_graphon(graph) -> Graphon:
     it is the adjacency of a simple graph.
     """
     _check_adjacency(graph.adjacency, graph.n, "empirical_graphon")
-    grid = graph.adjacency.view()
-    grid.flags.writeable = False
-    return Graphon(label=f"empirical:{graph.n}", grid=grid)
+    return _grid_graphon(graph.adjacency.view(), f"empirical:{graph.n}")
 
 
 def l2_distance(w1: Graphon, w2: Graphon, grid_side: int) -> float:
@@ -169,8 +171,8 @@ def l2_distance(w1: Graphon, w2: Graphon, grid_side: int) -> float:
     Exact for piecewise-constant integrands aligned with the mesh;
     symmetric in its arguments and zero iff the kernels agree on the mesh.
     """
-    if grid_side < 1:
-        raise ValueError("grid_side must be positive")
+    if not (isinstance(grid_side, numbers.Integral) and grid_side >= 1):
+        raise ValueError(f"grid_side must be an integer >= 1, got {grid_side!r}")
     mids = (np.arange(grid_side) + 0.5) / grid_side
     x = mids[:, None]
     y = mids[None, :]

@@ -18,6 +18,7 @@ of S at a time, so no N x N float matrix is stored.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -168,12 +169,22 @@ def _scaled_matvec(m: np.ndarray, x) -> np.ndarray:
 
 def graph_to_edgelist(g: Graph, path, latent_path=None) -> None:
     """Write 'n <N>' then one 0-based 'i j' line per edge, i < j, and the
-    latent positions to ``latent_path`` if given; ValueError, before writing
-    anything, if it is given for a graph without latent positions."""
+    latent positions to ``latent_path`` if given.  ValueError if it is given
+    for a graph without latent positions, and OSError if either file cannot
+    be opened, in both cases leaving no file that this call created."""
     if latent_path is not None and g.latent is None:
         raise ValueError("graph has no latent positions to write")
+    latent_created = latent_path is not None and not os.path.exists(latent_path)
+    if latent_path is not None:
+        open(latent_path, "a").close()  # fails before anything is written
+    try:
+        fh = open(path, "w")
+    except OSError:
+        if latent_created:
+            os.remove(latent_path)
+        raise
     names = np.array([str(k) for k in range(g.n)], dtype=object)
-    with open(path, "w") as fh:
+    with fh:
         fh.write(f"n {g.n}\n")
         for i in range(g.n - 1):  # one write per row: its edges to j > i
             js = names[i + 1:][g.adjacency[i, i + 1:]]

@@ -37,9 +37,28 @@ class TestParseGraphonSpec:
             with pytest.raises(ValueError):
                 parse_graphon_spec(bad)
 
+    @pytest.mark.parametrize("spec", [
+        "er:0.5,0.3", "er:", "er:x", "sinprod:0.5,0.5", "sinprod:0.5,0.5,3.5,1",
+        "sinprod:0.5,x,3.5", "expsum:0.5,1", "expsum:abc", "expdist:", "expdist:1,2",
+    ])
+    def test_wrong_arity_or_non_number_is_malformed(self, spec):
+        with pytest.raises(ValueError, match=f"^malformed graphon spec {spec!r}: "):
+            parse_graphon_spec(spec)
+
+    @pytest.mark.parametrize("spec", ["unknown:1", "ER:0.5", "files:x.csv", ":0.5"])
+    def test_unknown_id(self, spec):
+        kind = spec.partition(":")[0]
+        with pytest.raises(ValueError, match=f"^unknown graphon id {kind!r} in spec"):
+            parse_graphon_spec(spec)
+
+    def test_every_built_in_resolves(self):
+        for spec in ("er:0.5", "sinprod:0.5,0.5,3.5", "expsum:0.5", "expdist:10"):
+            assert parse_graphon_spec(spec).label == spec
+
 
 class TestParseMotifSpec:
     def test_named(self):
+        assert parse_motif_spec("edge").edges == ((0, 1),)
         assert parse_motif_spec("edge").k == 2
         assert parse_motif_spec("triangle").edges == ((0, 1), (1, 2), (0, 2))
         assert parse_motif_spec("path3").edges == ((0, 1), (1, 2))
@@ -61,6 +80,16 @@ class TestDispatch:
         assert code == 0
         g = graph_from_edgelist(out)
         assert g.n == 100
+
+    @pytest.mark.parametrize("bad", ["out", "latent"])
+    def test_sample_unwritable_output_leaves_no_file(self, tmp_path, capsys, bad):
+        paths = {"out": tmp_path / "g.edges", "latent": tmp_path / "l.csv"}
+        paths[bad] = tmp_path / "missing" / paths[bad].name
+        assert dispatch(["sample", "--graphon", "er:0.5", "--n", "3",
+                         "--out", str(paths["out"]),
+                         "--latent-out", str(paths["latent"])]) == 2
+        assert "error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_sample_reproducible(self, tmp_path):
         a, b = tmp_path / "a.edges", tmp_path / "b.edges"
@@ -187,6 +216,14 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "error: ideal response length 2 does not match operator size 5" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("ideal", ["1,nan", "nan", "1,inf", "0,-inf,0"])
+    def test_non_finite_ideal_response_exits_2(self, capsys, ideal):
+        assert dispatch(["design", "--graphon", "er:0.5", "--order", "3",
+                         "--ideal", ideal]) == 2
+        err = capsys.readouterr().err
+        assert "error: ideal response must be a nonempty finite vector" in err
+        assert "filter coefficients" not in err
 
     def test_malformed_custom_motif_exits_2(self, capsys):
         for spec, chunk in (("custom:", "''"), ("custom:0-1,2", "'2'"),

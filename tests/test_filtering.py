@@ -180,6 +180,12 @@ class TestDesignFilter:
         misfit = np.linalg.norm(h_mat - d.matrix(), "fro")
         assert misfit == pytest.approx(result.residual, abs=1e-10)
 
+    @pytest.mark.parametrize("d", [[1.0, np.nan], [np.inf], [0.0, -np.inf, 1.0],
+                                   [[1.0, 0.0]], 1.0, []])
+    def test_ideal_response_must_be_a_finite_vector(self, d):
+        with pytest.raises(ValueError, match="ideal response must be a nonempty finite vector"):
+            IdealResponse(d)
+
     def test_length_mismatch_rejected(self):
         op = build_fg_shift(erdos_renyi(0.5), 10, 5)
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from graphonsp.chebyshev import (QuadratureRule, cheb_basis_matrix,
+                                 coefficient_normalizers, map_domain_inverse)
 from graphonsp.galerkin import (_weight_correction, build_fg_shift,
                                 compute_tilde_w, fredholm_solve,
                                 operator_to_csv, resolvent_eigs)
@@ -159,6 +161,41 @@ class TestAgainstReferenceLoop:
         got = build_fg_shift(kernel, p, n).entries
         assert got.shape == (n, n)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+
+
+BUILT_INS = [erdos_renyi(0.5), sin_product(0.5, 0.5, 3.5), exp_sum(0.5),
+             exp_distance(10)]
+
+
+def kernel_and_basis(w, p):
+    """K at the p-panel rule's nodes mapped to [0,1], and the weighted basis
+    B[m, i] = weight_m * c_i(node_m) of degrees 0..p, built in the test."""
+    rule = QuadratureRule(p)
+    x = map_domain_inverse(rule.nodes)
+    return (w.eval(x[:, None], x[None, :]),
+            rule.weights[:, None] * cheb_basis_matrix(rule.nodes, p + 1))
+
+
+class TestOneGalerkinProduct:
+    """Both builders are one product B[:, :rows]^T K (B @ right), bit for bit."""
+
+    @pytest.mark.parametrize("p, pad", [(10, 5), (10, 11), (10, 25), (32, 8), (200, 50)])
+    @pytest.mark.parametrize("kernel", BUILT_INS, ids=lambda w: w.label)
+    def test_tilde_live_block_is_bt_k_b(self, kernel, p, pad):
+        k, b = kernel_and_basis(kernel, p)
+        live = min(pad, p + 1)
+        got = compute_tilde_w(kernel, p, pad).entries
+        np.testing.assert_array_equal(got[:live, :live], b[:, :live].T @ k @ b[:, :live])
+        assert not got[live:].any() and not got[:, live:].any()
+
+    @pytest.mark.parametrize("p, n", [(10, 5), (32, 8), (200, 50)])
+    @pytest.mark.parametrize("kernel", BUILT_INS, ids=lambda w: w.label)
+    def test_shift_is_corrected_product_row_scaled(self, kernel, p, n):
+        k, b = kernel_and_basis(kernel, p)
+        corrected = b[:, :n].T @ k @ (b @ _weight_correction(p, n))
+        np.testing.assert_array_equal(
+            build_fg_shift(kernel, p, n).entries,
+            corrected / (2.0 * coefficient_normalizers(n))[:, None])
 
 
 class TestFredholmSolve:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphonsp.kernels import (empirical_graphon, erdos_renyi,
+from graphonsp.kernels import (Graphon, empirical_graphon, erdos_renyi,
                                exp_distance, exp_sum, grid_from_csv,
                                grid_graphon, grid_to_csv, l2_distance,
                                sin_product)
@@ -74,6 +74,66 @@ class TestEval:
             vy = w.eval(y, x)
             np.testing.assert_allclose(vx, vy, atol=0)
             assert vx.min() >= 0.0 and vx.max() <= 1.0
+
+
+def _cell_formula(grid):
+    """W(x, y) of a grid graphon, written out one point at a time."""
+    m = len(grid)
+    cell = lambda t: min(int(t * m), m - 1)
+    return np.vectorize(lambda x, y: float(grid[cell(x), cell(y)]), otypes=[float])
+
+
+_GRID = np.array([[0.1, 0.7, 0.2], [0.7, 0.0, 1.0], [0.2, 1.0, 0.4]])
+_ADJ = sample_graph(exp_distance(2.0), 7, seed=4).adjacency
+
+# each graphon beside its formula, written in the test
+_FORMULAS = [
+    (erdos_renyi(0.3), lambda x, y: 0.3 + 0 * (x + y)),
+    (sin_product(0.5, 0.5, 3.5),
+     lambda x, y: 0.5 + 0.5 * np.sin(3.5 * np.pi * x * y)),
+    (exp_sum(0.5), lambda x, y: np.exp(-0.5 * (x + y))),
+    (exp_distance(10.0), lambda x, y: np.exp(-10.0 * np.abs(x - y))),
+    (grid_graphon(_GRID), _cell_formula(_GRID)),
+    (empirical_graphon(Graph(n=7, adjacency=_ADJ)), _cell_formula(_ADJ)),
+]
+
+
+class TestEvalAgainstFormulas:
+    """One ``eval`` for closures and grids gives each formula's exact bits."""
+
+    _rng = np.random.default_rng(11)
+    _INPUTS = [
+        (0.3, 0.8),                                       # scalars
+        (0.0, 1.0), (1.0, 1.0), (0.0, 0.0),               # endpoints
+        (_rng.random(50), _rng.random(50)),               # 1-D
+        (np.array([0.0, 1.0, 0.5, 1 / 3]), np.array([1.0, 1.0, 0.0, 2 / 3])),
+        (_rng.random((6, 1)), _rng.random((1, 9))),       # broadcast 2-D
+        (np.array([[0.0], [1.0]]), np.array([0.0, 0.5, 1.0])),
+        (0.25, _rng.random((3, 4))),
+    ]
+
+    @pytest.mark.parametrize("w, formula", _FORMULAS, ids=lambda v: getattr(v, "label", ""))
+    @pytest.mark.parametrize("x, y", _INPUTS)
+    def test_matches_formula_bit_for_bit(self, w, formula, x, y):
+        got = w.eval(x, y)
+        xa, ya = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        want = np.broadcast_to(formula(xa, ya), np.broadcast_shapes(xa.shape, ya.shape))
+        if np.ndim(x) == 0 and np.ndim(y) == 0:
+            assert type(got) is float
+            assert got == float(want)
+        else:
+            assert got.dtype == float and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    def test_func_is_required(self):
+        with pytest.raises(TypeError):
+            Graphon("no-func")
+        w = Graphon("half", lambda x, y: 0.5)
+        assert w.grid is None and w.eval(0.2, 0.4) == 0.5
+
+    def test_grid_graphons_are_read_only(self):
+        for w, _ in _FORMULAS[4:]:
+            assert not w.grid.flags.writeable
 
 
 class TestValidation:
@@ -157,6 +217,10 @@ class TestValidation:
         grid = np.triu(grid) + np.triu(grid, 1).T
         np.testing.assert_array_equal(grid_graphon(grid).grid, grid)
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            grid_graphon(np.zeros((0, 0)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_grid_must_be_finite(self, bad, tmp_path):
         grid = np.array([[0.0, bad], [bad, 0.0]])
@@ -223,6 +287,16 @@ class TestL2Distance:
     def test_symmetry_in_arguments(self):
         w1, w2 = exp_sum(0.5), exp_distance(2.0)
         assert l2_distance(w1, w2, 50) == pytest.approx(l2_distance(w2, w1, 50))
+
+    @pytest.mark.parametrize("side", [2.5, 3.0, 0, -2, "4", None])
+    def test_grid_side_must_be_a_positive_integer(self, side):
+        w = exp_sum(0.5)
+        with pytest.raises(ValueError, match="grid_side must be an integer >= 1"):
+            l2_distance(w, w, side)
+
+    def test_numpy_integer_grid_side_accepted(self):
+        w1, w2 = erdos_renyi(0.5), erdos_renyi(0.2)
+        assert l2_distance(w1, w2, np.int64(7)) == l2_distance(w1, w2, 7)
 
     def test_triangle_inequality(self):
         ws = [erdos_renyi(0.5), exp_sum(0.5), sin_product(0.5, 0.5, 3.5)]

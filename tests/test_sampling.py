@@ -284,6 +284,23 @@ class TestEdgelistIO:
             graph_to_edgelist(g, path, latent_path=lpath)
         assert not path.exists() and not lpath.exists()
 
+    @pytest.mark.parametrize("bad", ["edges", "latent"])
+    def test_unopenable_file_leaves_no_file_behind(self, tmp_path, bad):
+        g = sample_graph(erdos_renyi(0.5), 4, seed=0)
+        paths = {"edges": tmp_path / "g.edges", "latent": tmp_path / "latent.csv"}
+        paths[bad] = tmp_path / "missing" / paths[bad].name
+        with pytest.raises(OSError):
+            graph_to_edgelist(g, paths["edges"], latent_path=paths["latent"])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unopenable_latent_file_keeps_an_existing_edge_list(self, tmp_path):
+        g = sample_graph(erdos_renyi(0.5), 4, seed=0)
+        path = tmp_path / "g.edges"
+        path.write_text("kept")
+        with pytest.raises(OSError):
+            graph_to_edgelist(g, path, latent_path=tmp_path / "missing" / "l.csv")
+        assert path.read_text() == "kept"
+
     def test_header_format(self, tmp_path):
         g = sample_graph(erdos_renyi(1.0), 3, seed=0)
         path = tmp_path / "g.edges"
