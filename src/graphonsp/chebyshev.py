@@ -81,7 +81,8 @@ def cheb_basis_matrix(u, n: int) -> np.ndarray:
     i = 0..n-1, u flattened; ValueError unless every u_m lies in [-1, 1]."""
     u = np.asarray(u, dtype=float)
     _check_range(u, -1.0, 1.0, "Chebyshev argument must lie in [-1, 1]")
-    return np.cos(np.outer(np.arccos(u), np.arange(n)))
+    angles = np.outer(np.arccos(u), np.arange(n))
+    return np.cos(angles, out=angles)
 
 
 def coefficient_normalizers(n: int) -> np.ndarray:

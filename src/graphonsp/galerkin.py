@@ -65,15 +65,16 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
-def _galerkin(w: Graphon, p: int, rows: int, right: np.ndarray) -> np.ndarray:
-    """B[:, :rows]^T K (B @ right): K is the kernel at the p-panel rule's nodes
-    (mapped to [0,1]), B[m, i] = weight_m * c_i(node_m) the weighted basis of
-    degrees i = 0..p, and ``right`` maps its p+1 raw columns to the output's."""
+def _galerkin(w: Graphon, p: int, right: np.ndarray) -> np.ndarray:
+    """B[:, :r]^T K (B @ right), r = right.shape[1]: K is the kernel at the
+    p-panel rule's nodes (mapped to [0,1]), B[m, i] = weight_m * c_i(node_m)
+    for degrees i = 0..p, and ``right`` maps the p+1 raw columns to r."""
     rule = QuadratureRule(p)
     x = map_domain_inverse(rule.nodes)
     kernel = w.eval(x[:, None], x[None, :])
-    basis = rule.weights[:, None] * cheb_basis_matrix(rule.nodes, p + 1)
-    return basis[:, :rows].T @ kernel @ (basis @ right)
+    basis = cheb_basis_matrix(rule.nodes, p + 1)
+    basis *= rule.weights[:, None]
+    return basis[:, :right.shape[1]].T @ kernel @ (basis @ right)
 
 
 def _weight_correction(p: int, n: int) -> np.ndarray:
@@ -102,7 +103,7 @@ def compute_tilde_w(w: Graphon, p: int, n_pad: int) -> OperatorMatrix:
         raise ValueError("padded size must be positive")
     n_live = min(n_pad, p + 1)
     entries = np.zeros((n_pad, n_pad))
-    entries[:n_live, :n_live] = _galerkin(w, p, n_live, np.eye(p + 1, n_live))
+    entries[:n_live, :n_live] = _galerkin(w, p, np.eye(p + 1, n_live))
     entries.flags.writeable = False
     return OperatorMatrix(entries=entries)
 
@@ -111,7 +112,7 @@ def build_fg_shift(w: Graphon, p: int, n: int) -> OperatorMatrix:
     """Fourier-Galerkin shift operator: tilde sums with the weight correction
     C folded in, then normalization onto unit-series coefficients."""
     _check_basis_size(p, n)
-    corrected = _galerkin(w, p, n, _weight_correction(p, n))
+    corrected = _galerkin(w, p, _weight_correction(p, n))
     entries = corrected / (2.0 * coefficient_normalizers(n))[:, None]
     entries.flags.writeable = False
     return OperatorMatrix(entries=entries)

@@ -92,12 +92,12 @@ def hom_count(f: Motif, g: Graph) -> int:
     (m - 1) * N < 2^53 for every motif.  The moduli are pairwise coprime with
     a product above N^K; the CRT joins the residues in Python integers.
 
-    Raises ValueError unless ``g.adjacency`` is a boolean, symmetric (n, n)
-    matrix with a zero diagonal, and before any contraction if x would hold
-    more than MAX_NODES^2 entries, the adjacency copy's size at N=MAX_NODES.
+    Raises ValueError unless ``g.adjacency`` is symmetric with a zero
+    diagonal, and before any contraction if x would hold more than
+    MAX_NODES^2 entries, the adjacency copy's size at N=MAX_NODES.
     """
-    _check_adjacency(g.adjacency, g.n, "hom_count")
-    n = int(g.n)  # a numpy integer n would wrap in n ** k
+    _check_adjacency(g.adjacency, "hom_count")
+    n = g.n
     steps, width = _plan(f)
     isolated = n ** (f.k - len(steps))
     if not steps:
@@ -196,7 +196,7 @@ def _crt(residues, moduli) -> int:
 
 def hom_density_graph(f: Motif, g: Graph) -> float:
     """t(F, G) = hom(F, G) / N^K, always in [0, 1], correctly rounded."""
-    return hom_count(f, g) / int(g.n) ** f.k
+    return hom_count(f, g) / g.n ** f.k
 
 
 @dataclass(frozen=True)
@@ -228,10 +228,11 @@ def hom_density_graphon(f: Motif, w: Graphon, samples: int,
     for stream in streams:
         count = min(_MC_BATCH, samples - done)
         rng = np.random.default_rng(stream)
-        pts = rng.random((count, f.k))
+        # one contiguous row of draws per motif vertex
+        pts = np.ascontiguousarray(rng.random((count, f.k)).T)
         vals = np.ones(count)
         for a, b in f.edges:
-            vals *= w.eval(pts[:, a], pts[:, b])
+            vals *= w.eval(pts[a], pts[b])
         total += float(vals.sum())
         # shifting by one sample makes a constant batch's deviations exactly 0
         dev = vals - vals[0]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,12 +49,10 @@ def _check_range(values, lo, hi, message: str) -> None:
         raise ValueError(message)
 
 
-def _check_adjacency(adj, n, caller: str) -> None:
-    """ValueError naming the caller unless adj is a boolean (n, n) array that
-    is symmetric with a zero diagonal: the adjacency of a simple graph."""
-    if not (isinstance(adj, np.ndarray) and adj.dtype == bool
-            and adj.shape == (n, n)):
-        raise ValueError(f"{caller} needs a boolean ({n}, {n}) adjacency array")
+def _check_adjacency(adj: np.ndarray, caller: str) -> None:
+    """ValueError naming the caller unless the square array adj is symmetric
+    with a zero diagonal: with ``Graph``'s check, a simple graph's adjacency."""
+    n = adj.shape[0]
     # tile by tile, so each transposed read stays in cache (~10x faster at N=4096)
     b = _SYMMETRY_TILE
     symmetric = all(np.array_equal(adj[i:i + b, j:j + b], adj[j:j + b, i:i + b].T)
@@ -134,9 +133,7 @@ def exp_distance(alpha: float) -> Graphon:
 
 
 def _grid_graphon(grid: np.ndarray, label: str) -> Graphon:
-    """Graphon of a square symmetric grid, which this makes read-only."""
-    if grid.size == 0:
-        raise ValueError("grid graphon requires a nonempty matrix")
+    """Graphon of a nonempty square symmetric grid, which this makes read-only."""
     grid.flags.writeable = False
     m = len(grid)
     return Graphon(label, lambda x, y: grid[_cell_index(x, m), _cell_index(y, m)], grid)
@@ -146,6 +143,8 @@ def grid_graphon(grid: np.ndarray, label: str = "grid") -> Graphon:
     """Wrap a square symmetric matrix of values in [0,1] as a grid graphon
     that holds its own read-only copy of the values, symmetrised exactly."""
     grid = np.array(grid, dtype=float)
+    if grid.size == 0:
+        raise ValueError("grid graphon requires a nonempty matrix")
     if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
         raise ValueError("grid graphon requires a square matrix")
     _check_range(grid, 0.0, 1.0, "grid graphon values must be finite and lie in [0, 1]")
@@ -161,7 +160,7 @@ def empirical_graphon(graph) -> Graphon:
     read-only view of the boolean adjacency, not a copy.  ValueError unless
     it is the adjacency of a simple graph.
     """
-    _check_adjacency(graph.adjacency, graph.n, "empirical_graphon")
+    _check_adjacency(graph.adjacency, "empirical_graphon")
     return _grid_graphon(graph.adjacency.view(), f"empirical:{graph.n}")
 
 
@@ -189,5 +188,7 @@ def grid_to_csv(w: Graphon, path) -> None:
 
 def grid_from_csv(path, label: str = "file") -> Graphon:
     """Read a grid graphon from a dense headerless CSV."""
-    grid = np.loadtxt(path, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():  # grid_graphon refuses an empty grid itself
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        grid = np.loadtxt(path, delimiter=",", ndmin=2)
     return grid_graphon(grid, label=label)

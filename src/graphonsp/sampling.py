@@ -53,14 +53,25 @@ _SHIFT_BLOCK_ENTRIES = 2 ** 15
 class Graph:
     """Undirected simple graph with optional latent positions.
 
-    ``adjacency`` is a dense symmetric boolean matrix with zero diagonal.
-    ``latent`` holds the uniform samples used to generate the graph
-    (nondecreasing when sampling was done with sorting enabled).
+    ``adjacency`` is a dense symmetric boolean matrix with zero diagonal; N is
+    its side.  ``Graph`` raises ValueError unless it is a nonempty square
+    boolean array (O(1)); symmetry and the diagonal are left to ``hom_count``
+    and ``empirical_graphon``.  ``latent`` holds the uniform samples used to
+    generate the graph (nondecreasing when sampled with sorting enabled).
     """
 
-    n: int
     adjacency: np.ndarray
     latent: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        adj = self.adjacency
+        if not (isinstance(adj, np.ndarray) and adj.dtype == bool and adj.ndim == 2
+                and adj.shape[0] == adj.shape[1] > 0):
+            raise ValueError("Graph needs a nonempty square boolean adjacency array")
+
+    @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
 
     def edge_count(self) -> int:
         return int(self.adjacency.sum()) // 2
@@ -70,12 +81,15 @@ class Graph:
 class ShiftOperator:
     """The graph shift S = A/N of a simple graph.
 
-    It holds the graph's read-only boolean ``adjacency`` and ``n``, never a
-    float matrix: ``apply_shift`` forms S a row block at a time.
+    It holds the graph's read-only boolean ``adjacency``, never a float
+    matrix: ``apply_shift`` forms S a row block at a time.
     """
 
-    n: int
     adjacency: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
 
     @property
     def entries(self) -> np.ndarray:
@@ -127,7 +141,7 @@ def sample_graph(w: Graphon, n: int, seed: int, sorted_latent: bool = True) -> G
         r0 = r1
     adj.flags.writeable = False
     latent.flags.writeable = False
-    return Graph(n=n, adjacency=adj, latent=latent)
+    return Graph(adjacency=adj, latent=latent)
 
 
 def scaled_adjacency(g: Graph) -> ShiftOperator:
@@ -135,7 +149,7 @@ def scaled_adjacency(g: Graph) -> ShiftOperator:
 
     Wraps the graph's adjacency without copying it.
     """
-    return ShiftOperator(n=g.n, adjacency=g.adjacency)
+    return ShiftOperator(adjacency=g.adjacency)
 
 
 def apply_shift(s: ShiftOperator, x: np.ndarray) -> np.ndarray:
@@ -243,5 +257,6 @@ def graph_from_edgelist(path, latent_path=None) -> Graph:
                              f"per line, got shape {latent.shape}")
         _check_range(latent, 0.0, 1.0,
                      f"{latent_path}: latent values must be finite and lie in [0, 1]")
+        latent.flags.writeable = False
     adj.flags.writeable = False
-    return Graph(n=n, adjacency=adj, latent=latent)
+    return Graph(adjacency=adj, latent=latent)

@@ -1,5 +1,6 @@
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +261,18 @@ class TestDispatch:
             assert captured.err.startswith(f"error: malformed graphon spec '{spec}'")
             assert "finite" in captured.err and "Traceback" not in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    def test_empty_grid_csv_exits_2_with_one_error_line(self, tmp_path, capsys):
+        grid, out = tmp_path / "empty.csv", tmp_path / "op.csv"
+        grid.write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dispatch(["fg-operator", "--graphon", f"file:{grid}",
+                             "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("grid graphon requires a nonempty matrix\n")
+        assert not out.exists()
 
     def test_expsum_huge_rate_runs_without_warning(self, tmp_path, capsys):
         # exp(-alpha*(x+y)) underflows to 0 off the origin; the suite turns

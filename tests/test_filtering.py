@@ -83,6 +83,9 @@ class TestApplyGraphFilter:
         g = sample_graph(erdos_renyi(0.5), 5, seed=0)
         with pytest.raises(ValueError):
             apply_graph_filter(scaled_adjacency(g), FilterCoeffs([1.0]), np.ones(4))
+        # one tap applies no shift: the length is checked against the graph's N
+        with pytest.raises(ValueError, match="does not match operator size 5"):
+            apply_graph_filter(scaled_adjacency(g), FilterCoeffs([2.0]), np.ones(6))
 
 
 class TestFgFilterOperator:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,17 @@ class TestBuildFgShift:
         a = build_fg_shift(exp_sum(0.5), 10, 5)
         b = build_fg_shift(exp_sum(0.5), 10, 5)
         assert np.array_equal(a.entries, b.entries)
+
+    def test_holds_two_full_size_arrays(self):
+        # K and the weighted basis, 8 MB each at p=1000; a third would pass 24 MB
+        w = exp_sum(0.5)
+        tracemalloc.start()
+        try:
+            build_fg_shift(w, 1000, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
 
 
 class TestAgainstDenseQuadratureOracle:

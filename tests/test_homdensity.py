@@ -31,7 +31,7 @@ def graph_from_pairs(n, pairs):
     adj = np.zeros((n, n), dtype=bool)
     for i, j in pairs:
         adj[i, j] = adj[j, i] = True
-    return Graph(n=n, adjacency=adj)
+    return Graph(adjacency=adj)
 
 
 def all_motif_shapes(k):
@@ -65,7 +65,7 @@ def cycle_motif(k):
 
 
 def complete_graph(n):
-    return Graph(n=n, adjacency=~np.eye(n, dtype=bool))
+    return Graph(adjacency=~np.eye(n, dtype=bool))
 
 
 # pairwise coprime and all composite, each reducing hard; their product
@@ -281,7 +281,7 @@ class TestModuli:
     @pytest.mark.parametrize("n", [99, 800, MAX_NODES])
     def test_every_motif_shape_up_to_five_nodes(self, n, monkeypatch):
         calls = contract_calls(monkeypatch)
-        g = Graph(n=n, adjacency=np.zeros((n, n), bool))
+        g = Graph(adjacency=np.zeros((n, n), bool))
         refused = 0
         for motif in (m for k in range(1, 6) for m in all_motif_shapes(k) if m.edges):
             calls.clear()
@@ -302,7 +302,7 @@ class TestModuli:
     @pytest.mark.parametrize("motif", [path_motif(8), cycle_motif(8), star_motif(8)])
     def test_eight_node_path_cycle_and_star(self, motif, n, monkeypatch):
         calls = contract_calls(monkeypatch)
-        hom_count(motif, Graph(n=n, adjacency=np.zeros((n, n), bool)))
+        hom_count(motif, Graph(adjacency=np.zeros((n, n), bool)))
         # moduli near 2^53 / N: two exceed N^8 up to N = 800, three at 4096
         assert calls == check_moduli(n, n ** 8)
         assert len(calls) == (3 if n == MAX_NODES else 2)
@@ -360,16 +360,22 @@ class TestClosedFormsOnCompleteGraph:
 
 
 class TestHomCountInput:
-    @pytest.mark.parametrize("adjacency", [
-        np.ones((3, 3), dtype=int) - np.eye(3, dtype=int),       # int, not bool
-        2 * (np.ones((3, 3)) - np.eye(3)),                       # float
-        np.ones((4, 4), dtype=bool) ^ np.eye(4, dtype=bool),     # shape not (n, n)
-        np.triu(np.ones((3, 3), dtype=bool), 1),                 # asymmetric
-        np.ones((3, 3), dtype=bool),                             # loops
-        [[False, True, True], [True, False, True], [True, True, False]],
+    # type and shape are checked once, when the graph is built; symmetry and
+    # the diagonal by each caller that needs them
+    @pytest.mark.parametrize("adjacency, built", [
+        (np.ones((3, 3), dtype=int) - np.eye(3, dtype=int), False),   # int, not bool
+        (2 * (np.ones((3, 3)) - np.eye(3)), False),                   # float
+        (np.ones((3, 4), dtype=bool), False),                         # not square
+        (np.triu(np.ones((3, 3), dtype=bool), 1), True),              # asymmetric
+        (np.ones((3, 3), dtype=bool), True),                          # loops
+        ([[False, True, True], [True, False, True], [True, True, False]], False),
     ], ids=["int", "float", "shape", "asymmetric", "diagonal", "list"])
-    def test_rejects_anything_but_a_simple_boolean_adjacency(self, adjacency):
-        g = Graph(n=3, adjacency=adjacency)
+    def test_rejects_anything_but_a_simple_boolean_adjacency(self, adjacency, built):
+        if not built:
+            with pytest.raises(ValueError, match="Graph needs"):
+                Graph(adjacency=adjacency)
+            return
+        g = Graph(adjacency=adjacency)
         for motif in (edge_motif(), Motif(2, ())):
             with pytest.raises(ValueError, match="hom_count needs"):
                 hom_count(motif, g)
@@ -385,13 +391,14 @@ class TestHomCountInput:
         adj = complete_graph(600).adjacency.copy()
         adj[i, j] = False
         with pytest.raises(ValueError, match="symmetric"):
-            hom_count(edge_motif(), Graph(n=600, adjacency=adj))
+            hom_count(edge_motif(), Graph(adjacency=adj))
         with pytest.raises(ValueError, match="empirical_graphon needs a symmetric"):
-            empirical_graphon(Graph(n=600, adjacency=adj))
+            empirical_graphon(Graph(adjacency=adj))
 
     def test_numpy_integer_node_count_does_not_wrap(self):
         # 300^8 wraps in int64
         g = sample_graph(erdos_renyi(1.0), np.int64(300), seed=0)
+        assert type(g.n) is int  # read from the adjacency's shape
         path8 = path_motif(MAX_MOTIF_NODES)
         assert hom_count(path8, g) == 300 * 299 ** 7
         assert hom_density_graph(path8, g) == float(Fraction(299 ** 7, 300 ** 7))

@@ -94,7 +94,7 @@ _FORMULAS = [
     (exp_sum(0.5), lambda x, y: np.exp(-0.5 * (x + y))),
     (exp_distance(10.0), lambda x, y: np.exp(-10.0 * np.abs(x - y))),
     (grid_graphon(_GRID), _cell_formula(_GRID)),
-    (empirical_graphon(Graph(n=7, adjacency=_ADJ)), _cell_formula(_ADJ)),
+    (empirical_graphon(Graph(adjacency=_ADJ)), _cell_formula(_ADJ)),
 ]
 
 
@@ -221,6 +221,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="nonempty"):
             grid_graphon(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("text", ["", "\n\n\r\n"], ids=["empty", "blank-lines"])
+    def test_empty_csv_rejected_without_a_warning(self, tmp_path, text):
+        path = tmp_path / "grid.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="grid graphon requires a nonempty matrix"):
+                grid_from_csv(path)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_grid_must_be_finite(self, bad, tmp_path):
         grid = np.array([[0.0, bad], [bad, 0.0]])
@@ -258,7 +267,7 @@ class TestEmpiricalGraphon:
 
     def test_grid_is_a_read_only_view_of_the_adjacency(self):
         adj = np.array([[False, True], [True, False]])  # writeable
-        w = empirical_graphon(Graph(n=2, adjacency=adj))
+        w = empirical_graphon(Graph(adjacency=adj))
         assert w.grid.dtype == bool and np.shares_memory(w.grid, adj)
         assert not w.grid.flags.writeable and adj.flags.writeable
 

@@ -58,9 +58,9 @@ PIN_KERNELS = {
     "expdist": exp_distance(10.0),
     "grid": _pin_grid(),
     "empirical": empirical_graphon(Graph(
-        n=5, adjacency=np.array([[0, 1, 1, 0, 0], [1, 0, 0, 1, 0],
-                                 [1, 0, 0, 1, 1], [0, 1, 1, 0, 0],
-                                 [0, 0, 1, 0, 0]], dtype=bool))),
+        adjacency=np.array([[0, 1, 1, 0, 0], [1, 0, 0, 1, 0],
+                            [1, 0, 0, 1, 1], [0, 1, 1, 0, 0],
+                            [0, 0, 1, 0, 0]], dtype=bool))),
 }
 
 # 257 is the largest N whose pairs fit one row block of 2**16 pairs, 258 the
@@ -171,6 +171,26 @@ class TestBitIdentity:
         assert out.read_bytes() == reference_edgelist(adj).encode()
 
 
+class TestGraph:
+    def test_holds_its_adjacency_and_latent_only(self):
+        g = sample_graph(exp_sum(0.5), 7, seed=2)
+        assert [f.name for f in dataclasses.fields(g)] == ["adjacency", "latent"]
+        assert type(g.n) is int and g.n == g.adjacency.shape[0] == 7
+
+    @pytest.mark.parametrize("adjacency", [
+        np.zeros((0, 0), dtype=bool),
+        [[False, True], [True, False]],
+        np.array([[0, 1], [1, 0]]),
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.zeros((3, 4), dtype=bool),
+        np.zeros(3, dtype=bool),
+        np.zeros((2, 2, 2), dtype=bool),
+    ], ids=["empty", "list", "int", "float", "3x4", "1d", "3d"])
+    def test_rejects_anything_but_a_nonempty_square_boolean_array(self, adjacency):
+        with pytest.raises(ValueError, match="nonempty square boolean adjacency"):
+            Graph(adjacency=adjacency)
+
+
 class TestScaledAdjacency:
     def test_complete_graph_entries(self):
         g = sample_graph(erdos_renyi(1.0), 4, seed=0)
@@ -190,8 +210,8 @@ class TestScaledAdjacency:
     def test_entries_equal_a_over_n_and_no_float_matrix_kept(self):
         g = sample_graph(exp_sum(0.5), 60, seed=8)
         s = scaled_adjacency(g)
-        assert [f.name for f in dataclasses.fields(s)] == ["n", "adjacency"]
-        assert s.adjacency is g.adjacency
+        assert [f.name for f in dataclasses.fields(s)] == ["adjacency"]
+        assert s.adjacency is g.adjacency and type(s.n) is int and s.n == 60
         assert not any(isinstance(v, np.ndarray) and v.dtype.kind == "f"
                        for v in vars(s).values())
         entries = s.entries
@@ -276,9 +296,11 @@ class TestEdgelistIO:
         assert back.n == g.n
         np.testing.assert_array_equal(back.adjacency, g.adjacency)
         np.testing.assert_allclose(back.latent, g.latent)
+        # read-only, as a sampled graph's
+        assert not back.adjacency.flags.writeable and not back.latent.flags.writeable
 
     def test_latent_path_without_latent_positions_rejected(self, tmp_path):
-        g = Graph(n=3, adjacency=~np.eye(3, dtype=bool))
+        g = Graph(adjacency=~np.eye(3, dtype=bool))
         path, lpath = tmp_path / "g.edges", tmp_path / "latent.csv"
         with pytest.raises(ValueError, match="no latent positions"):
             graph_to_edgelist(g, path, latent_path=lpath)
@@ -316,7 +338,7 @@ class TestEdgelistIO:
     def test_roundtrip_property(self, tmp_path_factory, bits):
         adj = np.triu(bits, k=1)
         adj = adj | adj.T
-        g = Graph(n=adj.shape[0], adjacency=adj)
+        g = Graph(adjacency=adj)
         path = tmp_path_factory.mktemp("edges") / "g.edges"
         graph_to_edgelist(g, path)
         back = graph_from_edgelist(path)

@@ -140,7 +140,7 @@ def graphs_with_signals(max_n):
         bits, signal = pair
         n = len(signal)
         upper = np.triu(np.array(bits).reshape(n, n), k=1)
-        return Graph(n=n, adjacency=upper | upper.T), np.array(signal)
+        return Graph(adjacency=upper | upper.T), np.array(signal)
 
     return st.integers(1, max_n).flatmap(build).map(to_graph)
 
