@@ -3,8 +3,7 @@ shift operator, Fredholm solves, and polynomial graphon filter design."""
 
 from .kernels import (Graphon, empirical_graphon, erdos_renyi, exp_distance,
                       exp_sum, grid_graphon, l2_distance, sin_product)
-from .sampling import (Graph, ShiftOperator, apply_shift, sample_graph,
-                       scaled_adjacency)
+from .sampling import Graph, apply_shift, sample_graph, scaled_adjacency
 from .steps import (StepSignal, apply_empirical_operator, lift,
                     step_operator_matrix, unlift)
 from .chebyshev import (ChebCoeffVector, QuadratureRule, cheb_eval,

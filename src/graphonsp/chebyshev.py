@@ -36,7 +36,7 @@ __all__ = [
     "map_domain_inverse",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChebCoeffVector:
     """Chebyshev coefficients; entry i multiplies the degree-(i-1) polynomial."""
 
@@ -46,7 +46,7 @@ class ChebCoeffVector:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Extrema-node rule: P panels, P+1 nodes cos(pi*m/P) from +1 down to -1."""
 
@@ -98,7 +98,9 @@ def quad_integrate(rule: QuadratureRule, f) -> float:
 
 
 def _check_basis_size(p: int, n: int) -> None:
-    """ValueError unless 1 <= n <= p+1, written so that NaN fails too."""
+    """ValueError unless p >= 1 and 1 <= n <= p+1, written so that NaN fails too."""
+    if not p >= 1:
+        raise ValueError("need at least one panel")
     if not n >= 1:
         raise ValueError(f"basis size must be at least 1, got {n}")
     if not n <= p + 1:

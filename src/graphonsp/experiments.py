@@ -27,7 +27,7 @@ from .filtering import (FilterCoeffs, IdealResponse, apply_graph_filter,
                         design_filter, fg_filter_operator)
 from .galerkin import OperatorMatrix, build_fg_shift
 from .kernels import Graphon, _cell_index
-from .sampling import sample_graph, scaled_adjacency
+from .sampling import sample_graph
 
 __all__ = [
     "DESIGN_ORDERS",
@@ -45,7 +45,7 @@ __all__ = [
 DESIGN_ORDERS = tuple(range(1, 9))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """Inputs shared by the experiment drivers.
 
@@ -92,7 +92,7 @@ class ExperimentRecord:
     l2_discrepancy: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentCurves:
     """Output curves on the common grid for one (graphon, n, seed) cell."""
 
@@ -129,7 +129,7 @@ def _filter_cells(cfg: ExperimentConfig,
     def run(cell):
         label, n, seed = cell
         g = sample_graph(cfg.graphons[label], n, seed, cfg.sorted_latent)
-        y = apply_graph_filter(scaled_adjacency(g), filters[label][1], f(g.latent))
+        y = apply_graph_filter(g, filters[label][1], f(g.latent))
         return y[np.argsort(g.latent, kind="stable")][_cell_index(xgrid, n)]
 
     with ThreadPoolExecutor(max_workers=4) as pool:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .chebyshev import project_apply_resample
 from .galerkin import OperatorMatrix, build_fg_shift
-from .sampling import ShiftOperator, apply_shift
+from .sampling import Graph, apply_shift
 
 __all__ = [
     "FilterCoeffs",
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterCoeffs:
     """Polynomial filter taps; index k holds the coefficient of the k-th power."""
 
@@ -57,7 +57,7 @@ class FilterCoeffs:
         return len(self.h)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdealResponse:
     """Diagonal of the ideal graphon filter matrix D."""
 
@@ -73,22 +73,22 @@ class IdealResponse:
         return np.diag(self.d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignResult:
     coeffs: FilterCoeffs
     residual: float
     rank_used: int
 
 
-def apply_graph_filter(s: ShiftOperator, h: FilterCoeffs, x: np.ndarray) -> np.ndarray:
-    """y = sum_k h_k S^k x by iterated shift application."""
+def apply_graph_filter(g: Graph, h: FilterCoeffs, x: np.ndarray) -> np.ndarray:
+    """y = sum_k h_k S^k x, S = A/N, by iterated shift application."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (s.n,):
-        raise ValueError(f"signal length {x.shape} does not match operator size {s.n}")
+    if x.shape != (g.n,):
+        raise ValueError(f"signal length {x.shape} does not match operator size {g.n}")
     y = h.h[0] * x
     v = x
     for k in range(1, h.order):
-        v = apply_shift(s, v)
+        v = apply_shift(g, v)
         y = y + h.h[k] * v
     return y
 
@@ -157,7 +157,7 @@ def frequency_response(h_op: np.ndarray) -> np.ndarray:
     return h_op @ np.ones(h_op.shape[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PipelineResult:
     coeffs: FilterCoeffs
     residual: float

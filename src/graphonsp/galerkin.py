@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Square operator matrix in the Chebyshev basis."""
 

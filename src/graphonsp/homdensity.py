@@ -219,15 +219,15 @@ def hom_density_graphon(f: Motif, w: Graphon, samples: int,
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    streams = np.random.SeedSequence(_coerce_seed(seed)).spawn(
-        (samples + _MC_BATCH - 1) // _MC_BATCH)
+    # spawn(1) per batch yields a bulk spawn's children, in O(1) memory
+    root = np.random.SeedSequence(_coerce_seed(seed))
     total = 0.0
     done = 0
     mean = 0.0
     m2 = 0.0
-    for stream in streams:
+    while done < samples:
         count = min(_MC_BATCH, samples - done)
-        rng = np.random.default_rng(stream)
+        rng = np.random.default_rng(root.spawn(1)[0])
         # one contiguous row of draws per motif vertex
         pts = np.ascontiguousarray(rng.random((count, f.k)).T)
         vals = np.ones(count)

@@ -61,7 +61,7 @@ def _check_adjacency(adj: np.ndarray, caller: str) -> None:
         raise ValueError(f"{caller} needs a symmetric adjacency with zero diagonal")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graphon:
     """Symmetric kernel W : [0,1]^2 -> [0,1], evaluated by the vectorized
     closure ``func`` of two float arrays.  A grid graphon's ``func`` takes the
@@ -187,8 +187,11 @@ def grid_to_csv(w: Graphon, path) -> None:
 
 
 def grid_from_csv(path, label: str = "file") -> Graphon:
-    """Read a grid graphon from a dense headerless CSV."""
-    with warnings.catch_warnings():  # grid_graphon refuses an empty grid itself
+    """Read a grid graphon from a dense headerless CSV.  Lines that hold only
+    whitespace before any '#' comment are skipped."""
+    with open(path) as fh, warnings.catch_warnings():
+        # grid_graphon refuses an empty grid itself
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        grid = np.loadtxt(path, delimiter=",", ndmin=2)
+        grid = np.loadtxt((line for line in fh if line.partition("#")[0].strip()),
+                          delimiter=",", ndmin=2)
     return grid_graphon(grid, label=label)

@@ -12,8 +12,8 @@ generator yields the same doubles as a single call for their total, and W
 is evaluated per pair, so the blocks change neither the stream order nor
 the graph: it is the one a single draw over all pairs gives.
 
-The shift S = A/N is held as the boolean adjacency and applied a row block
-of S at a time, so no N x N float matrix is stored.
+A graph is its own shift S = A/N: the boolean adjacency is applied a row
+block of S at a time, so no N x N float matrix is stored.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .kernels import Graphon, _check_range
 
 __all__ = [
     "Graph",
-    "ShiftOperator",
     "MAX_NODES",
     "sample_graph",
     "scaled_adjacency",
@@ -49,7 +48,7 @@ _BLOCK_PAIRS = 2 ** 16
 _SHIFT_BLOCK_ENTRIES = 2 ** 15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected simple graph with optional latent positions.
 
@@ -75,21 +74,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return int(self.adjacency.sum()) // 2
-
-
-@dataclass(frozen=True)
-class ShiftOperator:
-    """The graph shift S = A/N of a simple graph.
-
-    It holds the graph's read-only boolean ``adjacency``, never a float
-    matrix: ``apply_shift`` forms S a row block at a time.
-    """
-
-    adjacency: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.adjacency.shape[0]
 
     @property
     def entries(self) -> np.ndarray:
@@ -144,17 +128,17 @@ def sample_graph(w: Graphon, n: int, seed: int, sorted_latent: bool = True) -> G
     return Graph(adjacency=adj, latent=latent)
 
 
-def scaled_adjacency(g: Graph) -> ShiftOperator:
+def scaled_adjacency(g: Graph) -> Graph:
     """S = A/N; symmetric with zero diagonal and entries in [0, 1/N].
 
-    Wraps the graph's adjacency without copying it.
+    A graph is its own shift, so this returns ``g`` itself.
     """
-    return ShiftOperator(adjacency=g.adjacency)
+    return g
 
 
-def apply_shift(s: ShiftOperator, x: np.ndarray) -> np.ndarray:
+def apply_shift(g: Graph, x: np.ndarray) -> np.ndarray:
     """One diffusion step S @ x from the boolean adjacency; S is never stored."""
-    return _scaled_matvec(s.adjacency, x)
+    return _scaled_matvec(g.adjacency, x)
 
 
 def _scaled_matvec(m: np.ndarray, x) -> np.ndarray:

@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepSignal:
     """Coefficients of a step function on [0, 1] in the amplitude-N strip basis.
 

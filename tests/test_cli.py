@@ -197,6 +197,21 @@ class TestDispatch:
                 assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_panels_below_one_exits_2(self, tmp_path, capsys):
+        # the panel count is checked before the basis size is held against it
+        commands = {
+            "fg-operator": ["--graphon", "er:0.5", "--out", str(tmp_path / "op.csv")],
+            "solve": ["--graphon", "er:0.5", "--out", str(tmp_path / "s.csv")],
+            "experiment:convergence": ["--graphon", "er:0.5", "--n-values", "10",
+                                       "--seeds", "0", "--out-dir", str(tmp_path / "c")],
+        }
+        for command, args in commands.items():
+            for panels in ("0", "-3"):
+                assert dispatch([command, *args, "--panels", panels]) == 2
+                err = capsys.readouterr().err
+                assert err == "error: need at least one panel\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_design_studies_basis_below_one_exit_2(self, tmp_path, capsys):
         for study in ("lowpass", "consensus"):
             for basis in ("0", "-2"):
@@ -265,6 +280,18 @@ class TestDispatch:
     def test_empty_grid_csv_exits_2_with_one_error_line(self, tmp_path, capsys):
         grid, out = tmp_path / "empty.csv", tmp_path / "op.csv"
         grid.write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dispatch(["fg-operator", "--graphon", f"file:{grid}",
+                             "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("grid graphon requires a nonempty matrix\n")
+        assert not out.exists()
+
+    def test_blank_grid_csv_exits_2_with_one_error_line(self, tmp_path, capsys):
+        grid, out = tmp_path / "blank.csv", tmp_path / "op.csv"
+        grid.write_text("  \t\n \t \n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert dispatch(["fg-operator", "--graphon", f"file:{grid}",

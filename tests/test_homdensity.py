@@ -14,7 +14,8 @@ from graphonsp.homdensity import (MAX_MOTIF_NODES, Motif, edge_motif,
                                   hom_count, hom_density_graph,
                                   hom_density_graphon, path3_motif,
                                   triangle_motif)
-from graphonsp.kernels import empirical_graphon, erdos_renyi, exp_sum, grid_graphon
+from graphonsp.kernels import (Graphon, empirical_graphon, erdos_renyi, exp_sum,
+                               grid_graphon)
 from graphonsp.sampling import MAX_NODES, Graph, sample_graph
 
 
@@ -499,6 +500,26 @@ class TestHomDensityGraphon:
         for seed in (-1, 2 ** 64):
             with pytest.raises(ValueError, match="seed"):
                 hom_density_graphon(edge_motif(), erdos_renyi(0.5), 10, seed=seed)
+
+    def test_batch_seeds_are_spawned_as_each_batch_is_drawn(self, monkeypatch):
+        # 20,000 batches: their child seeds held at once take ~8 MB, so the
+        # memory traced at the first kernel evaluation shows whether they are
+        monkeypatch.setattr(homdensity, "_MC_BATCH", 10)
+
+        class FirstDraw(Exception):
+            pass
+
+        def probe(x, y):
+            raise FirstDraw(tracemalloc.get_traced_memory()[0])
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstDraw) as drawn:
+                hom_density_graphon(edge_motif(), Graphon("probe", probe), 200_000,
+                                    seed=0)
+        finally:
+            tracemalloc.stop()
+        assert drawn.value.args[0] < 1e6
 
 
 class TestConvergenceTrend:

@@ -221,7 +221,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="nonempty"):
             grid_graphon(np.zeros((0, 0)))
 
-    @pytest.mark.parametrize("text", ["", "\n\n\r\n"], ids=["empty", "blank-lines"])
+    @pytest.mark.parametrize("text", ["", "\n\n\r\n", "# a comment\n", "  \t\n \t\n",
+                                      "  # an indented comment\n\t\n"],
+                             ids=["empty", "blank-lines", "comments", "spaces-tabs",
+                                  "indented-comment"])
     def test_empty_csv_rejected_without_a_warning(self, tmp_path, text):
         path = tmp_path / "grid.csv"
         path.write_text(text)
@@ -229,6 +232,11 @@ class TestValidation:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="grid graphon requires a nonempty matrix"):
                 grid_from_csv(path)
+
+    def test_csv_skips_lines_of_whitespace(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text("0.2,0.7\n \t\n0.7,0.9\n  # a comment\n")
+        np.testing.assert_array_equal(grid_from_csv(path).grid, [[0.2, 0.7], [0.7, 0.9]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_grid_must_be_finite(self, bad, tmp_path):

@@ -210,14 +210,24 @@ class TestScaledAdjacency:
     def test_entries_equal_a_over_n_and_no_float_matrix_kept(self):
         g = sample_graph(exp_sum(0.5), 60, seed=8)
         s = scaled_adjacency(g)
-        assert [f.name for f in dataclasses.fields(s)] == ["adjacency"]
+        assert [f.name for f in dataclasses.fields(s)] == ["adjacency", "latent"]
         assert s.adjacency is g.adjacency and type(s.n) is int and s.n == 60
-        assert not any(isinstance(v, np.ndarray) and v.dtype.kind == "f"
+        # the latent positions are a float vector; no float matrix is kept
+        assert not any(isinstance(v, np.ndarray) and v.ndim == 2 and v.dtype.kind == "f"
                        for v in vars(s).values())
         entries = s.entries
         assert entries.dtype == float and not entries.flags.writeable
         assert np.array_equal(entries, g.adjacency / 60)
         assert entries is not s.entries  # built on each access, never cached
+
+    def test_a_graph_is_its_own_shift(self):
+        g = sample_graph(exp_sum(0.5), 30, seed=2)
+        assert scaled_adjacency(g) is g
+        entries = g.entries
+        assert not entries.flags.writeable
+        assert np.array_equal(entries, g.adjacency / 30)
+        x = np.arange(30.0)
+        np.testing.assert_allclose(apply_shift(g, x), entries @ x, atol=1e-14)
 
     def test_spectral_radius_below_one(self):
         for n in (50, 200, 500):
