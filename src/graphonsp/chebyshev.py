@@ -72,7 +72,10 @@ def cheb_eval(degree: int, u) -> float:
     """c_k(u) = cos(k * arccos(u)) for u in [-1, 1]: column k of the basis matrix."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    out = cheb_basis_matrix(u, degree + 1)[:, degree].reshape(np.shape(u))
+    u = np.asarray(u, dtype=float)
+    _check_range(u, -1.0, 1.0, "Chebyshev argument must lie in [-1, 1]")
+    # the basis matrix's own expression, for one column only
+    out = np.cos(np.arccos(u) * degree)
     return float(out) if out.ndim == 0 else out
 
 

@@ -151,6 +151,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _DEFAULT_GRAPHONS = ("er:0.5", "sinprod:0.5,0.5,3.5", "expdist:10")
 
+# homdensity's --samples bound: a triangle density takes ~60 s at 10^9
+# samples on er:0.5 (2 vCPU), and ~10^5 years at 10^20
+_MAX_SAMPLES = 10 ** 9
+
 
 def _experiment_config(args) -> ExperimentConfig:
     if args.command == "experiment:convergence":
@@ -220,6 +224,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "homdensity":
+        if not 1 <= args.samples <= _MAX_SAMPLES:
+            raise ValueError(f"--samples must lie in 1..{_MAX_SAMPLES}, got {args.samples}")
         motif = parse_motif_spec(args.motif)
         w = parse_graphon_spec(args.graphon)
         est = homdensity.hom_density_graphon(motif, w, args.samples, args.seed)

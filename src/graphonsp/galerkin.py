@@ -34,6 +34,7 @@ the matrix represents g = T f on [0,1] including the domain-map Jacobian.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -65,15 +66,44 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
+# entries of K per row block of _galerkin, as in sampling.sample_graph, so
+# that the kernel closure's temporaries and Graphon.eval's float copy stay
+# block-sized instead of (p+1)^2
+_BLOCK_ENTRIES = 2 ** 16
+
+
+@functools.lru_cache(maxsize=1)
+def _nodes_and_basis(p: int):
+    """The p-panel rule's nodes mapped to [0,1], and the weighted basis
+    B[m, i] = weight_m * c_i(node_m) of degrees i = 0..p, both read-only.
+
+    They depend on p alone.  One entry is kept, (p+1)^2 * 8 bytes (8 MB at
+    p=1000): callers build several operators at one p in a row, and the
+    kernel changes between them while p does not.
+    """
+    rule = QuadratureRule(p)
+    x = map_domain_inverse(rule.nodes)
+    basis = cheb_basis_matrix(rule.nodes, p + 1)
+    basis *= rule.weights[:, None]
+    x.flags.writeable = False
+    basis.flags.writeable = False
+    return x, basis
+
+
 def _galerkin(w: Graphon, p: int, right: np.ndarray) -> np.ndarray:
     """B[:, :r]^T K (B @ right), r = right.shape[1]: K is the kernel at the
     p-panel rule's nodes (mapped to [0,1]), B[m, i] = weight_m * c_i(node_m)
-    for degrees i = 0..p, and ``right`` maps the p+1 raw columns to r."""
-    rule = QuadratureRule(p)
-    x = map_domain_inverse(rule.nodes)
-    kernel = w.eval(x[:, None], x[None, :])
-    basis = cheb_basis_matrix(rule.nodes, p + 1)
-    basis *= rule.weights[:, None]
+    for degrees i = 0..p, and ``right`` maps the p+1 raw columns to r.
+
+    The nodes and B come from the per-p cache of ``_nodes_and_basis``.  K is
+    written a block of rows at a time; W is evaluated per entry, so the
+    blocks do not change its bits.
+    """
+    x, basis = _nodes_and_basis(p)
+    kernel = np.empty((p + 1, p + 1))
+    rows = max(1, _BLOCK_ENTRIES // (p + 1))
+    for r0 in range(0, p + 1, rows):
+        kernel[r0:r0 + rows] = w.eval(x[r0:r0 + rows, None], x[None, :])
     return basis[:, :right.shape[1]].T @ kernel @ (basis @ right)
 
 

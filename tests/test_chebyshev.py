@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,28 @@ class TestChebEval:
                                       basis[:, 3].reshape(2, -1))
         with pytest.raises(ValueError, match="nonnegative"):
             cheb_eval(-1, 0.5)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 7, 64, 999, 4096])
+    def test_eval_is_the_basis_column(self, degree):
+        rng = np.random.default_rng(0)
+        u = np.concatenate([rng.uniform(-1.0, 1.0, 5000), [1.0, -1.0, 0.0, -0.0]])
+        # the basis column in chunks of 256 points, 8 MB at degree 4096
+        column = np.concatenate([cheb_basis_matrix(u[i:i + 256], degree + 1)[:, degree]
+                                 for i in range(0, len(u), 256)])
+        got = cheb_eval(degree, u)
+        assert np.array_equal(got, column)
+        assert got.tobytes() == column.tobytes()  # signs of zero too
+
+    def test_eval_builds_one_column(self):
+        # the whole basis would be 5000 x 1000 doubles, 40 MB
+        u = np.linspace(-1.0, 1.0, 5000)
+        tracemalloc.start()
+        try:
+            cheb_eval(999, u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_three_term_recurrence(self):
         u = np.linspace(-1, 1, 100)

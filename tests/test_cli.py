@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphonsp import experiments, filtering, galerkin
+from graphonsp import experiments, filtering, galerkin, homdensity
 from graphonsp.cli import (_build_parser, dispatch, parse_graphon_spec,
                            parse_motif_spec)
 from graphonsp.experiments import ExperimentRecord
@@ -311,6 +311,19 @@ class TestDispatch:
                          "--samples", "10"]) == 0
         assert capsys.readouterr().err == ""
         assert graph_from_edgelist(out).edge_count() == 0
+
+    def test_homdensity_samples_above_bound_exit_2(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(homdensity, "hom_density_graphon", refuse)
+        for samples in ("0", "1000000001", str(10 ** 20)):
+            assert dispatch(["homdensity", "--graphon", "er:0.5",
+                             "--samples", samples]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: --samples must lie in 1..1000000000, "
+                                    f"got {samples}\n")
 
     def test_bad_seeds_exit_2(self, tmp_path, capsys):
         for seed in ("-1", str(2 ** 64)):

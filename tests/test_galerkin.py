@@ -1,15 +1,17 @@
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from graphonsp.chebyshev import (QuadratureRule, cheb_basis_matrix,
                                  coefficient_normalizers, map_domain_inverse)
-from graphonsp.galerkin import (_weight_correction, build_fg_shift,
-                                compute_tilde_w, fredholm_solve,
+from graphonsp.galerkin import (_nodes_and_basis, _weight_correction,
+                                build_fg_shift, compute_tilde_w, fredholm_solve,
                                 operator_to_csv, resolvent_eigs)
-from graphonsp.kernels import (erdos_renyi, exp_distance, exp_sum, grid_graphon,
-                               sin_product)
+from graphonsp.kernels import (empirical_graphon, erdos_renyi, exp_distance,
+                               exp_sum, grid_graphon, sin_product)
 from graphonsp.sampling import sample_graph, scaled_adjacency
 
 ZERO = grid_graphon(np.zeros((4, 4)), label="zero")
@@ -178,22 +180,36 @@ class TestAgainstReferenceLoop:
 
 BUILT_INS = [erdos_renyi(0.5), sin_product(0.5, 0.5, 3.5), exp_sum(0.5),
              exp_distance(10)]
+# a boolean grid, looked up cell by cell
+EMPIRICAL = empirical_graphon(sample_graph(sin_product(0.5, 0.5, 3.5), 300, seed=7))
 
 
 def kernel_and_basis(w, p):
     """K at the p-panel rule's nodes mapped to [0,1], and the weighted basis
-    B[m, i] = weight_m * c_i(node_m) of degrees 0..p, built in the test."""
+    B[m, i] = weight_m * c_i(node_m) of degrees 0..p, built in the test:
+    a fresh basis and one full-grid evaluation of W, with no cache and no
+    row blocks."""
     rule = QuadratureRule(p)
     x = map_domain_inverse(rule.nodes)
     return (w.eval(x[:, None], x[None, :]),
             rule.weights[:, None] * cheb_basis_matrix(rule.nodes, p + 1))
 
 
-class TestOneGalerkinProduct:
-    """Both builders are one product B[:, :rows]^T K (B @ right), bit for bit."""
+def reference_shift(w, p, n):
+    k, b = kernel_and_basis(w, p)
+    corrected = b[:, :n].T @ k @ (b @ _weight_correction(p, n))
+    return corrected / (2.0 * coefficient_normalizers(n))[:, None]
 
-    @pytest.mark.parametrize("p, pad", [(10, 5), (10, 11), (10, 25), (32, 8), (200, 50)])
-    @pytest.mark.parametrize("kernel", BUILT_INS, ids=lambda w: w.label)
+
+class TestOneGalerkinProduct:
+    """Both builders are one product B[:, :rows]^T K (B @ right), bit for bit.
+
+    From p=256 on, (p+1)^2 passes 2^16 entries and K is built in row blocks.
+    """
+
+    @pytest.mark.parametrize("p, pad", [(10, 5), (10, 11), (10, 25), (32, 8), (200, 50),
+                                        (257, 33), (1000, 100)])
+    @pytest.mark.parametrize("kernel", BUILT_INS + [EMPIRICAL], ids=lambda w: w.label)
     def test_tilde_live_block_is_bt_k_b(self, kernel, p, pad):
         k, b = kernel_and_basis(kernel, p)
         live = min(pad, p + 1)
@@ -201,14 +217,61 @@ class TestOneGalerkinProduct:
         np.testing.assert_array_equal(got[:live, :live], b[:, :live].T @ k @ b[:, :live])
         assert not got[live:].any() and not got[:, live:].any()
 
-    @pytest.mark.parametrize("p, n", [(10, 5), (32, 8), (200, 50)])
-    @pytest.mark.parametrize("kernel", BUILT_INS, ids=lambda w: w.label)
+    @pytest.mark.parametrize("p, n", [(10, 5), (32, 8), (200, 50), (257, 30), (1000, 100)])
+    @pytest.mark.parametrize("kernel", BUILT_INS + [EMPIRICAL], ids=lambda w: w.label)
     def test_shift_is_corrected_product_row_scaled(self, kernel, p, n):
-        k, b = kernel_and_basis(kernel, p)
-        corrected = b[:, :n].T @ k @ (b @ _weight_correction(p, n))
-        np.testing.assert_array_equal(
-            build_fg_shift(kernel, p, n).entries,
-            corrected / (2.0 * coefficient_normalizers(n))[:, None])
+        np.testing.assert_array_equal(build_fg_shift(kernel, p, n).entries,
+                                      reference_shift(kernel, p, n))
+
+
+class TestBasisCache:
+    """The nodes and the weighted basis are cached for the last p alone."""
+
+    def test_each_visit_evicts_the_other_p(self):
+        w = exp_distance(10)
+        sizes = {10: 5, 1000: 100}
+        expected = {p: reference_shift(w, p, n) for p, n in sizes.items()}
+        _nodes_and_basis.cache_clear()
+        for visit, p in enumerate((10, 1000, 10, 1000), start=1):
+            got = build_fg_shift(w, p, sizes[p]).entries
+            assert np.array_equal(got, expected[p])
+            info = _nodes_and_basis.cache_info()
+            assert (info.misses, info.currsize) == (visit, 1)
+
+    def test_cached_arrays_are_read_only(self):
+        x, basis = _nodes_and_basis(10)
+        for arr in (x, basis):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.5
+
+    def test_threads_give_the_serial_bits(self):
+        # p alternates from job to job, so concurrent builds keep evicting
+        # each other's basis
+        jobs = [(w, p, n) for w in BUILT_INS for p, n in ((10, 5), (300, 30))] * 3
+        expected = [build_fg_shift(w, p, n).entries for w, p, n in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(build_fg_shift, *job) for job in jobs]
+                got = [f.result(timeout=60).entries for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+
+    def test_warm_build_holds_k_beside_the_cached_basis(self):
+        # K (8 MB at p=1000) and the block-sized temporaries; an unblocked
+        # Graphon.eval would add a second 8 MB array
+        w = exp_sum(0.5)
+        build_fg_shift(w, 1000, 100)
+        tracemalloc.start()
+        try:
+            build_fg_shift(w, 1000, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20
 
 
 class TestFredholmSolve:
