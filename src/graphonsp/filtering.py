@@ -125,6 +125,11 @@ def truncated_svd_pinv(a: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
     return _truncated_svd_solve(a, np.eye(len(np.atleast_2d(a))), rel_tol)[0]
 
 
+# orders up to this are allowed at every basis size: experiments.DESIGN_ORDERS
+# sweeps 1..8, also at basis sizes 1 and 2
+_ORDER_FLOOR = 8
+
+
 def design_filter(w_op: OperatorMatrix, order: int, d: IdealResponse,
                   rel_tol: float = 1e-8) -> DesignResult:
     """Least-squares fit of the filter polynomial to the ideal response.
@@ -134,9 +139,16 @@ def design_filter(w_op: OperatorMatrix, order: int, d: IdealResponse,
     retained subspace; rank deficiency is handled by truncation, and only
     the residual is contracted).  The residual ||A h - b||_2 equals the
     Frobenius misfit of the filter matrix against D.
+
+    The order is refused above max(n^2, 8) before any power is formed.  n^2
+    is the row count of A, and by Cayley-Hamilton its rank is at most n
+    already, so further columns cannot lower the residual; orders up to 8,
+    the design studies' sweep, are cheap at any n and always allowed.
     """
-    if order < 1:
-        raise ValueError("filter order must be at least 1")
+    bound = max(w_op.size ** 2, _ORDER_FLOOR)
+    if not 1 <= order <= bound:
+        raise ValueError(f"filter order must lie in 1..{bound} (the larger of n^2 "
+                         f"and {_ORDER_FLOOR} at basis size {w_op.size}), got {order}")
     if len(d.d) != w_op.size:
         raise ValueError(f"ideal response length {len(d.d)} does not match "
                          f"operator size {w_op.size}")

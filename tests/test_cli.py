@@ -212,6 +212,15 @@ class TestDispatch:
                 assert err == "error: need at least one panel\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("basis", ["1", "2"])
+    def test_design_studies_sweep_orders_1_to_8_at_basis_1_and_2(self, tmp_path, basis):
+        # the sweep passes n^2 at these basis sizes; the order bound's floor of 8 keeps it
+        out = tmp_path / "consensus"
+        assert dispatch(["experiment:consensus", "--graphon", "er:0.5", "--n", "10",
+                         "--basis", basis, "--out-dir", str(out)]) == 0
+        rows = (out / "consensus.csv").read_text().splitlines()[1:]
+        assert [int(r.split(",")[3]) for r in rows] == list(range(1, 9))
+
     def test_design_studies_basis_below_one_exit_2(self, tmp_path, capsys):
         for study in ("lowpass", "consensus"):
             for basis in ("0", "-2"):
@@ -240,6 +249,15 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "error: ideal response must be a nonempty finite vector" in err
         assert "filter coefficients" not in err
+
+    def test_design_order_past_its_bound_exits_2(self, monkeypatch, capsys):
+        # --ideal 1,0 is a basis of 2, so the bound is max(2^2, 8) = 8
+        monkeypatch.setattr(filtering, "_powers", lambda w: pytest.fail("power formed"))
+        assert dispatch(["design", "--graphon", "er:0.5", "--order", "100000000",
+                         "--ideal", "1,0"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: filter order must lie in 1..8 (the larger of n^2 and 8 "
+                       "at basis size 2), got 100000000\n")
 
     def test_malformed_custom_motif_exits_2(self, capsys):
         for spec, chunk in (("custom:", "''"), ("custom:0-1,2", "'2'"),

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from graphonsp import filtering
 from graphonsp.filtering import (FilterCoeffs, IdealResponse, apply_graph_filter,
                                  design_filter, fg_filter_operator,
                                  filter_pipeline, frequency_response,
@@ -193,6 +194,26 @@ class TestDesignFilter:
         op = build_fg_shift(erdos_renyi(0.5), 10, 5)
         with pytest.raises(ValueError):
             design_filter(op, 3, IdealResponse([1.0, 0.0]))
+
+    @pytest.mark.parametrize("n, order", [(5, 26), (5, 10 ** 8), (2, 9), (1, 9),
+                                          (5, 0), (5, -1)])
+    def test_order_outside_its_bound_refused_before_any_power(self, monkeypatch,
+                                                            n, order):
+        # the bound is max(n^2, 8): the row count of the design system, and at
+        # least the design studies' orders 1..8
+        op = build_fg_shift(exp_sum(0.5), 10, n)
+        monkeypatch.setattr(filtering, "_powers", lambda w: pytest.fail("power formed"))
+        bound = max(n * n, 8)
+        with pytest.raises(ValueError, match=rf"filter order must lie in 1\.\.{bound} "
+                                             rf"\(the larger of n\^2 and 8 at basis size {n}\)"):
+            design_filter(op, order, IdealResponse(np.eye(1, n)[0]))
+
+    @pytest.mark.parametrize("n, order", [(5, 25), (2, 8), (1, 8)])
+    def test_order_at_its_bound_is_designed(self, n, order):
+        op = build_fg_shift(exp_sum(0.5), 10, n)
+        result = design_filter(op, order, IdealResponse(np.eye(1, n)[0]))
+        assert len(result.coeffs.h) == order + 1
+        assert 1 <= result.rank_used <= n
 
     @pytest.mark.parametrize("w", [erdos_renyi(0.5), exp_distance(10.0),
                                    sin_product(0.5, 0.5, 3.5)], ids=lambda w: w.label)

@@ -7,8 +7,9 @@ import pytest
 
 from graphonsp.chebyshev import (QuadratureRule, cheb_basis_matrix,
                                  coefficient_normalizers, map_domain_inverse)
-from graphonsp.galerkin import (_nodes_and_basis, _weight_correction,
-                                build_fg_shift, compute_tilde_w, fredholm_solve,
+from graphonsp.galerkin import (_corrected_basis, _nodes_and_basis,
+                                _weight_correction, build_fg_shift,
+                                compute_tilde_w, fredholm_solve,
                                 operator_to_csv, resolvent_eigs)
 from graphonsp.kernels import (empirical_graphon, erdos_renyi, exp_distance,
                                exp_sum, grid_graphon, sin_product)
@@ -272,6 +273,43 @@ class TestBasisCache:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2 ** 20
+
+
+class TestCorrectedBasisCache:
+    """The shift's right factor B C is cached for the last (p, n) alone."""
+
+    def test_each_visit_evicts_the_other_p_or_n(self):
+        # the same p with another n must not reuse the right factor of the first
+        w = exp_sum(0.5)
+        visits = ((1000, 100), (1000, 50), (10, 5), (1000, 100))
+        expected = {pn: reference_shift(w, *pn) for pn in set(visits)}
+        _corrected_basis.cache_clear()
+        for visit, (p, n) in enumerate(visits, start=1):
+            assert np.array_equal(build_fg_shift(w, p, n).entries, expected[p, n])
+            info = _corrected_basis.cache_info()
+            assert (info.misses, info.currsize) == (visit, 1)
+
+    def test_cached_right_factor_is_read_only(self):
+        right = _corrected_basis(10, 5)
+        assert right.shape == (11, 5)
+        with pytest.raises(ValueError, match="read-only"):
+            right[0, 0] = 0.5
+
+    def test_threads_over_two_n_at_one_p_give_the_serial_bits(self):
+        # n alternates from job to job at one p, so concurrent builds keep
+        # evicting each other's right factor but share the basis
+        jobs = [(w, 300, n) for w in BUILT_INS for n in (30, 20)] * 3
+        expected = [build_fg_shift(w, p, n).entries for w, p, n in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(build_fg_shift, *job) for job in jobs]
+                got = [f.result(timeout=60).entries for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
 
 
 class TestFredholmSolve:

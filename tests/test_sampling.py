@@ -269,6 +269,19 @@ class TestApplyShift:
         with pytest.raises(ValueError):
             apply_shift(scaled_adjacency(g), np.ones(6))
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 100, 707, 2001, 4096])
+    def test_equals_the_divide_based_block_loop(self, n):
+        # the loop as first written: each row block divided by N into a fresh
+        # array; multiplying a boolean block by 1/N gives the same bits
+        g = sample_graph(sin_product(0.5, 0.5, 3.5), n, seed=n)
+        x = np.random.default_rng(n).standard_normal(n)
+        rows = max(8, sampling._SHIFT_BLOCK_ENTRIES // (8 * n) * 8)
+        expected = np.empty(n)
+        for r0 in range(0, n, rows):
+            np.matmul(np.divide(g.adjacency[r0:r0 + rows], n, dtype=float), x,
+                      out=expected[r0:r0 + rows])
+        assert apply_shift(g, x).tobytes() == expected.tobytes()
+
     def test_bits_do_not_depend_on_blas_threads(self):
         # sizes where one dense S @ x gives different bits at 1 and 2 threads;
         # the empirical step operator runs the same product on the same grid

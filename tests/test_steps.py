@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphonsp import sampling
 from graphonsp.kernels import (empirical_graphon, erdos_renyi, exp_distance,
                                grid_graphon)
 from graphonsp.sampling import (Graph, apply_shift, sample_graph,
@@ -114,6 +115,21 @@ class TestEmpiricalOperator:
                     x = rng.standard_normal(n)
                     lifted = unlift(apply_empirical_operator(we, lift(x)))
                     np.testing.assert_array_equal(lifted, apply_shift(s, x))
+
+    def test_float_grid_is_divided_by_n(self):
+        # a float grid times fl(1/N) is not grid / N in the last bit, so a
+        # non-boolean grid keeps the division of the row-block loop
+        n = 333
+        grid = np.random.default_rng(5).random((n, n))
+        grid = (grid + grid.T) / 2
+        assert not np.array_equal(grid * (1.0 / n), grid / n)
+        x = np.random.default_rng(6).standard_normal(n)
+        rows = max(8, sampling._SHIFT_BLOCK_ENTRIES // (8 * n) * 8)
+        expected = np.empty(n)
+        for r0 in range(0, n, rows):
+            np.matmul(grid[r0:r0 + rows] / n, x, out=expected[r0:r0 + rows])
+        got = unlift(apply_empirical_operator(grid_graphon(grid), lift(x)))
+        assert got.tobytes() == expected.tobytes()
 
     def test_operator_powers_match_shift_powers(self):
         g = sample_graph(erdos_renyi(0.5), 60, seed=21)
