@@ -141,7 +141,15 @@ def _run_design_experiment(cfg: ExperimentConfig, ideal: Optional[Sequence[float
     """Design residuals over the order sweep for each graphon, plus the
     graph-versus-graphon curves of the chosen-order design per cell.  The
     ideal diagonal is ``ideal``, or ``lead`` zero-padded to the basis size.
+    ValueError, before any graph is sampled, if two labels would share one
+    curve file name.
     """
+    safe = {}
+    for label in cfg.graphons:
+        other = safe.setdefault(_safe_label(label), label)
+        if other != label:
+            raise ValueError(f"graphons {other!r} and {label!r} would write "
+                             "the same curve files")
     if cfg.chosen_order not in DESIGN_ORDERS:
         raise ValueError(f"chosen order {cfg.chosen_order} is not one of the "
                          f"swept orders {DESIGN_ORDERS}")

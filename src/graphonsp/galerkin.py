@@ -23,12 +23,10 @@ closed form by ``_weight_correction``:
 
 with a_0 = 0 and a_l = 1/(4l^2-1).  The factor [k > 0] is the reflection
 rule above: no term lands on raw degree 0.  The raw matrix is
-never formed; the corrected n x n block is basis[:, :n]^T K (basis C), with
-K the kernel at the quadrature nodes and basis the weighted Chebyshev basis
-of degrees 0..p there.  Neither basis nor (basis C) depends on the kernel:
-basis is cached per p and (basis C) per (p, n), so a build evaluates K and
-runs the two products with it.  The raw matrix of ``compute_tilde_w`` is
-basis[:, :r]^T K basis[:, :r], its right factor B's first r columns.
+never formed; the corrected n x n block is B[:, :n]^T K (B C), with K the
+kernel at the quadrature nodes and B the weighted Chebyshev basis of
+degrees 0..p there.  The raw matrix of ``compute_tilde_w`` is
+B[:, :r]^T K B[:, :r].
 
 The returned shift operator acts on unit-series coefficient vectors
 (entry i multiplies c_{i-1}): rows are scaled by 1/(2*normalizer) so that
@@ -76,39 +74,44 @@ _BLOCK_ENTRIES = 2 ** 16
 
 
 @functools.lru_cache(maxsize=1)
-def _nodes_and_basis(p: int):
-    """The p-panel rule's nodes mapped to [0,1], and the weighted basis
-    B[m, i] = weight_m * c_i(node_m) of degrees i = 0..p, both read-only.
+def _factors(p: int, n: int):
+    """The p-panel rule's nodes mapped to [0,1] and the two factors of the
+    corrected product: B's first n columns and B C, where
+    B[m, i] = weight_m * c_i(node_m) for degrees i = 0..p.  All three are
+    read-only.
 
-    They depend on p alone.  One entry is kept, (p+1)^2 * 8 bytes (8 MB at
-    p=1000): callers build several operators at one p in a row, and the
-    kernel changes between them while p does not.
+    They depend on (p, n) alone.  One entry is kept, (p+1)(2n+1) * 8 bytes
+    (1.6 MB at p=1000, n=100): callers build several operators at one
+    (p, n) in a row, and the kernel changes between them while (p, n) does
+    not.  B itself, (p+1)^2 entries, is dropped on return: the left factor
+    is a copy of its columns, since a view would keep all of B alive.
     """
     rule = QuadratureRule(p)
     x = map_domain_inverse(rule.nodes)
     basis = cheb_basis_matrix(rule.nodes, p + 1)
     basis *= rule.weights[:, None]
-    x.flags.writeable = False
-    basis.flags.writeable = False
-    return x, basis
+    left = basis[:, :n].copy()
+    right = basis @ _weight_correction(p, n)
+    for arr in (x, left, right):
+        arr.flags.writeable = False
+    return x, left, right
 
 
-def _galerkin(w: Graphon, p: int, right: np.ndarray) -> np.ndarray:
-    """B[:, :r]^T K right, r = right.shape[1]: K is the kernel at the p-panel
-    rule's nodes (mapped to [0,1]), B[m, i] = weight_m * c_i(node_m) for
-    degrees i = 0..p, and ``right`` is the (p+1) x r right factor already
-    formed: (B C) from ``_corrected_basis`` or B's first r columns.
+def _galerkin(w: Graphon, x: np.ndarray, left: np.ndarray,
+              right: np.ndarray) -> np.ndarray:
+    """left^T K right, with K[a, b] = W(x_a, x_b).  With the nodes and
+    factors of ``_factors`` it is the corrected block, and the raw block
+    when ``right`` is ``left``.
 
-    The nodes and B come from the per-p cache of ``_nodes_and_basis``.  K is
-    written a block of rows at a time; W is evaluated per entry, so the
+    K is written a block of rows at a time; W is evaluated per entry, so the
     blocks do not change its bits.
     """
-    x, basis = _nodes_and_basis(p)
-    kernel = np.empty((p + 1, p + 1))
-    rows = max(1, _BLOCK_ENTRIES // (p + 1))
-    for r0 in range(0, p + 1, rows):
+    m = x.shape[0]
+    kernel = np.empty((m, m))
+    rows = max(1, _BLOCK_ENTRIES // m)
+    for r0 in range(0, m, rows):
         kernel[r0:r0 + rows] = w.eval(x[r0:r0 + rows, None], x[None, :])
-    return basis[:, :right.shape[1]].T @ kernel @ right
+    return left.T @ kernel @ right
 
 
 def _weight_correction(p: int, n: int) -> np.ndarray:
@@ -121,18 +124,6 @@ def _weight_correction(p: int, n: int) -> np.ndarray:
     live = (k > 0) & ((k + d) % 2 == 0)
     c = (k == d) - live * (a[np.abs(k - d) // 2] + a[(k + d) // 2])
     return (2.0 / np.pi) * c
-
-
-@functools.lru_cache(maxsize=1)
-def _corrected_basis(p: int, n: int) -> np.ndarray:
-    """The (p+1) x n right factor B C of ``build_fg_shift``, read-only.
-
-    It depends on (p, n) alone.  One entry is kept, (p+1) * n * 8 bytes
-    (0.8 MB at p=1000, n=100), for the same reason as ``_nodes_and_basis``.
-    """
-    right = _nodes_and_basis(p)[1] @ _weight_correction(p, n)
-    right.flags.writeable = False
-    return right
 
 
 def compute_tilde_w(w: Graphon, p: int, n_pad: int) -> OperatorMatrix:
@@ -149,7 +140,8 @@ def compute_tilde_w(w: Graphon, p: int, n_pad: int) -> OperatorMatrix:
         raise ValueError("padded size must be positive")
     n_live = min(n_pad, p + 1)
     entries = np.zeros((n_pad, n_pad))
-    entries[:n_live, :n_live] = _galerkin(w, p, _nodes_and_basis(p)[1][:, :n_live])
+    x, left, _ = _factors(p, n_live)
+    entries[:n_live, :n_live] = _galerkin(w, x, left, left)
     entries.flags.writeable = False
     return OperatorMatrix(entries=entries)
 
@@ -158,7 +150,7 @@ def build_fg_shift(w: Graphon, p: int, n: int) -> OperatorMatrix:
     """Fourier-Galerkin shift operator: tilde sums with the weight correction
     C folded in, then normalization onto unit-series coefficients."""
     _check_basis_size(p, n)
-    corrected = _galerkin(w, p, _corrected_basis(p, n))
+    corrected = _galerkin(w, *_factors(p, n))
     entries = corrected / (2.0 * coefficient_normalizers(n))[:, None]
     entries.flags.writeable = False
     return OperatorMatrix(entries=entries)

@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .kernels import Graphon, _check_adjacency
+from .kernels import Graphon
 from .sampling import MAX_NODES, Graph, _coerce_seed
 
 __all__ = [
@@ -92,11 +92,10 @@ def hom_count(f: Motif, g: Graph) -> int:
     (m - 1) * N < 2^53 for every motif.  The moduli are pairwise coprime with
     a product above N^K; the CRT joins the residues in Python integers.
 
-    Raises ValueError unless ``g.adjacency`` is symmetric with a zero
-    diagonal, and before any contraction if x would hold more than
-    MAX_NODES^2 entries, the adjacency copy's size at N=MAX_NODES.
+    ``Graph`` has checked that ``g.adjacency`` is symmetric with a zero
+    diagonal.  Raises ValueError before any contraction if x would hold more
+    than MAX_NODES^2 entries, the adjacency copy's size at N=MAX_NODES.
     """
-    _check_adjacency(g.adjacency, "hom_count")
     n = g.n
     steps, width = _plan(f)
     isolated = n ** (f.k - len(steps))

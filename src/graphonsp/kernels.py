@@ -29,7 +29,6 @@ __all__ = [
 ]
 
 _FLOAT_MAX = np.finfo(float).max
-_SYMMETRY_TILE = 256  # side of the tiles _check_adjacency compares
 
 
 def _cell_index(t, m: int):
@@ -47,18 +46,6 @@ def _check_range(values, lo, hi, message: str) -> None:
     v = np.asarray(values)
     if not np.all((v >= lo) & (v <= hi)):
         raise ValueError(message)
-
-
-def _check_adjacency(adj: np.ndarray, caller: str) -> None:
-    """ValueError naming the caller unless the square array adj is symmetric
-    with a zero diagonal: with ``Graph``'s check, a simple graph's adjacency."""
-    n = adj.shape[0]
-    # tile by tile, so each transposed read stays in cache (~10x faster at N=4096)
-    b = _SYMMETRY_TILE
-    symmetric = all(np.array_equal(adj[i:i + b, j:j + b], adj[j:j + b, i:i + b].T)
-                    for i in range(0, n, b) for j in range(i, n, b))
-    if adj.diagonal().any() or not symmetric:
-        raise ValueError(f"{caller} needs a symmetric adjacency with zero diagonal")
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,10 +144,9 @@ def empirical_graphon(graph) -> Graphon:
     """Piecewise-constant graphon induced by a graph's adjacency matrix.
 
     Cell (i, j) holds 1 if the edge exists and 0 otherwise.  The grid is a
-    read-only view of the boolean adjacency, not a copy.  ValueError unless
-    it is the adjacency of a simple graph.
+    read-only view of the boolean adjacency, not a copy; ``Graph`` has
+    checked that it is symmetric with a zero diagonal.
     """
-    _check_adjacency(graph.adjacency, "empirical_graphon")
     return _grid_graphon(graph.adjacency.view(), f"empirical:{graph.n}")
 
 

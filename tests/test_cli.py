@@ -242,6 +242,17 @@ class TestDispatch:
         assert "error: ideal response length 2 does not match operator size 5" in err
         assert not out.exists()
 
+    def test_graphons_sharing_a_curve_file_name_exit_2(self, tmp_path, capsys):
+        specs = []
+        for name in ("g_1.csv", "g-1.csv"):
+            (tmp_path / name).write_text("0.2,0.7\n0.7,0.9\n")
+            specs += ["--graphon", f"file:{tmp_path / name}"]
+        out = tmp_path / "low"
+        assert dispatch(["experiment:lowpass", "--n", "10", "--seeds", "0", *specs,
+                         "--out-dir", str(out)]) == 2
+        assert "would write the same curve files" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("ideal", ["1,nan", "nan", "1,inf", "0,-inf,0"])
     def test_non_finite_ideal_response_exits_2(self, capsys, ideal):
         assert dispatch(["design", "--graphon", "er:0.5", "--order", "3",

@@ -150,6 +150,18 @@ class TestLowpass:
             with pytest.raises(ValueError, match="chosen order"):
                 run_lowpass(small_config(chosen_order=order))
 
+    @pytest.mark.parametrize("run", [run_lowpass, run_consensus])
+    def test_labels_sharing_a_curve_file_name_rejected_before_sampling(
+            self, run, monkeypatch):
+        def never(*args):
+            raise AssertionError("a graph was sampled")
+        monkeypatch.setattr("graphonsp.experiments.sample_graph", never)
+        graphons = {"file:grid_1.csv": erdos_renyi(0.5),
+                    "file:grid-1.csv": erdos_renyi(0.3)}
+        with pytest.raises(ValueError,
+                           match="'file:grid_1.csv' and 'file:grid-1.csv' would write"):
+            run(small_config(graphons=graphons))
+
 
 class TestConsensus:
     def test_er_residual_near_zero(self):

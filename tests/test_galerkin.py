@@ -7,8 +7,7 @@ import pytest
 
 from graphonsp.chebyshev import (QuadratureRule, cheb_basis_matrix,
                                  coefficient_normalizers, map_domain_inverse)
-from graphonsp.galerkin import (_corrected_basis, _nodes_and_basis,
-                                _weight_correction, build_fg_shift,
+from graphonsp.galerkin import (_factors, _weight_correction, build_fg_shift,
                                 compute_tilde_w, fredholm_solve,
                                 operator_to_csv, resolvent_eigs)
 from graphonsp.kernels import (empirical_graphon, erdos_renyi, exp_distance,
@@ -226,29 +225,43 @@ class TestOneGalerkinProduct:
 
 
 class TestBasisCache:
-    """The nodes and the weighted basis are cached for the last p alone."""
+    """The nodes and the two factors drawn from the weighted basis B are
+    cached for the last (p, n) alone; B itself, (p+1)^2 entries, is not."""
 
-    def test_each_visit_evicts_the_other_p(self):
-        w = exp_distance(10)
-        sizes = {10: 5, 1000: 100}
-        expected = {p: reference_shift(w, p, n) for p, n in sizes.items()}
-        _nodes_and_basis.cache_clear()
-        for visit, p in enumerate((10, 1000, 10, 1000), start=1):
-            got = build_fg_shift(w, p, sizes[p]).entries
-            assert np.array_equal(got, expected[p])
-            info = _nodes_and_basis.cache_info()
+    def test_each_visit_to_another_p_or_n_misses(self):
+        # the same p with another n must not reuse the factors of the first
+        w = exp_sum(0.5)
+        visits = ((1000, 100), (1000, 50), (10, 5), (1000, 100))
+        expected = {pn: reference_shift(w, *pn) for pn in set(visits)}
+        _factors.cache_clear()
+        for visit, (p, n) in enumerate(visits, start=1):
+            assert np.array_equal(build_fg_shift(w, p, n).entries, expected[p, n])
+            info = _factors.cache_info()
             assert (info.misses, info.currsize) == (visit, 1)
+        # the raw matrix at the same (p, n) reads the same entry
+        compute_tilde_w(w, 1000, 100)
+        info = _factors.cache_info()
+        assert (info.hits, info.misses) == (1, len(visits))
 
     def test_cached_arrays_are_read_only(self):
-        x, basis = _nodes_and_basis(10)
-        for arr in (x, basis):
+        for arr in _factors(10, 5):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.5
 
-    def test_threads_give_the_serial_bits(self):
-        # p alternates from job to job, so concurrent builds keep evicting
-        # each other's basis
-        jobs = [(w, p, n) for w in BUILT_INS for p, n in ((10, 5), (300, 30))] * 3
+    @pytest.mark.parametrize("p, n", [(10, 11), (1000, 100)])
+    def test_holds_no_full_basis(self, p, n):
+        x, left, right = _factors(p, n)
+        assert left.shape == right.shape == (p + 1, n)
+        # copies, not views of B, so B is freed on return
+        assert left.base is None and right.base is None
+        assert x.nbytes + left.nbytes + right.nbytes == (p + 1) * (2 * n + 1) * 8
+
+    @pytest.mark.parametrize("sizes", [((10, 5), (300, 30)), ((300, 30), (300, 20))],
+                             ids=["p-alternates", "n-alternates"])
+    def test_threads_evicting_each_other_give_the_serial_bits(self, sizes):
+        # (p, n) alternates from job to job, so concurrent builds keep
+        # evicting each other's factors
+        jobs = [(w, p, n) for w in BUILT_INS for p, n in sizes] * 3
         expected = [build_fg_shift(w, p, n).entries for w, p, n in jobs]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -274,42 +287,18 @@ class TestBasisCache:
             tracemalloc.stop()
         assert peak < 12 * 2 ** 20
 
-
-class TestCorrectedBasisCache:
-    """The shift's right factor B C is cached for the last (p, n) alone."""
-
-    def test_each_visit_evicts_the_other_p_or_n(self):
-        # the same p with another n must not reuse the right factor of the first
+    def test_cold_build_never_holds_b_beside_k(self):
+        # B (8 MB at p=1000) is freed before K is built; holding both would
+        # pass 16 MB
         w = exp_sum(0.5)
-        visits = ((1000, 100), (1000, 50), (10, 5), (1000, 100))
-        expected = {pn: reference_shift(w, *pn) for pn in set(visits)}
-        _corrected_basis.cache_clear()
-        for visit, (p, n) in enumerate(visits, start=1):
-            assert np.array_equal(build_fg_shift(w, p, n).entries, expected[p, n])
-            info = _corrected_basis.cache_info()
-            assert (info.misses, info.currsize) == (visit, 1)
-
-    def test_cached_right_factor_is_read_only(self):
-        right = _corrected_basis(10, 5)
-        assert right.shape == (11, 5)
-        with pytest.raises(ValueError, match="read-only"):
-            right[0, 0] = 0.5
-
-    def test_threads_over_two_n_at_one_p_give_the_serial_bits(self):
-        # n alternates from job to job at one p, so concurrent builds keep
-        # evicting each other's right factor but share the basis
-        jobs = [(w, 300, n) for w in BUILT_INS for n in (30, 20)] * 3
-        expected = [build_fg_shift(w, p, n).entries for w, p, n in jobs]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+        _factors.cache_clear()
+        tracemalloc.start()
         try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(build_fg_shift, *job) for job in jobs]
-                got = [f.result(timeout=60).entries for f in futures]
+            build_fg_shift(w, 1000, 100)
+            _, peak = tracemalloc.get_traced_memory()
         finally:
-            sys.setswitchinterval(interval)
-        for a, b in zip(got, expected):
-            assert np.array_equal(a, b)
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20
 
 
 class TestFredholmSolve:

@@ -240,6 +240,11 @@ class TestScaledAdjacency:
 
 
 class TestApplyShift:
+    def test_an_asymmetric_adjacency_never_reaches_it(self):
+        adj = np.triu(np.ones((4, 4), dtype=bool), 1)
+        with pytest.raises(ValueError, match="symmetric adjacency with zero diagonal"):
+            apply_shift(Graph(adjacency=adj), np.ones(4))
+
     def test_complete_graph_ones_vector(self):
         g = sample_graph(erdos_renyi(1.0), 4, seed=0)
         s = scaled_adjacency(g)
@@ -345,6 +350,26 @@ class TestEdgelistIO:
         with pytest.raises(OSError):
             graph_to_edgelist(g, path, latent_path=tmp_path / "missing" / "l.csv")
         assert path.read_text() == "kept"
+
+    def test_latent_path_naming_the_edge_list_is_refused(self, tmp_path):
+        g = sample_graph(erdos_renyi(0.5), 5, seed=0)
+        path = tmp_path / "same.txt"
+        with pytest.raises(ValueError, match="name the same file"):
+            graph_to_edgelist(g, path, latent_path=path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_latent_symlink_to_the_edge_list_is_refused(self, tmp_path, existing):
+        g = sample_graph(erdos_renyi(0.5), 5, seed=0)
+        path, link = tmp_path / "g.edges", tmp_path / "latent.csv"
+        if existing:
+            path.write_text("kept")
+        link.symlink_to(path)
+        with pytest.raises(ValueError, match="name the same file"):
+            graph_to_edgelist(g, path, latent_path=link)
+        # the link is the caller's; its target only if it was there before
+        assert sorted(tmp_path.iterdir()) == sorted([link] + [path] * existing)
+        assert not existing or path.read_text() == "kept"
 
     def test_header_format(self, tmp_path):
         g = sample_graph(erdos_renyi(1.0), 3, seed=0)
