@@ -228,23 +228,20 @@ class TestBasisCache:
     """The nodes and the two factors drawn from the weighted basis B are
     cached for the last (p, n) alone; B itself, (p+1)^2 entries, is not."""
 
-    def test_each_visit_to_another_p_or_n_misses(self):
-        # the same p with another n must not reuse the factors of the first
-        w = exp_sum(0.5)
-        visits = ((1000, 100), (1000, 50), (10, 5), (1000, 100))
-        expected = {pn: reference_shift(w, *pn) for pn in set(visits)}
+    def test_each_visit_evicts_the_other_p(self):
+        w = exp_distance(10)
+        sizes = {10: 5, 1000: 100}
+        expected = {p: reference_shift(w, p, n) for p, n in sizes.items()}
         _factors.cache_clear()
-        for visit, (p, n) in enumerate(visits, start=1):
-            assert np.array_equal(build_fg_shift(w, p, n).entries, expected[p, n])
+        for visit, p in enumerate((10, 1000, 10, 1000), start=1):
+            got = build_fg_shift(w, p, sizes[p]).entries
+            assert np.array_equal(got, expected[p])
             info = _factors.cache_info()
             assert (info.misses, info.currsize) == (visit, 1)
-        # the raw matrix at the same (p, n) reads the same entry
-        compute_tilde_w(w, 1000, 100)
-        info = _factors.cache_info()
-        assert (info.hits, info.misses) == (1, len(visits))
 
     def test_cached_arrays_are_read_only(self):
-        for arr in _factors(10, 5):
+        x, left, _ = _factors(10, 5)
+        for arr in (x, left):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.5
 
@@ -299,6 +296,31 @@ class TestBasisCache:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2 ** 20
+
+
+class TestCorrectedBasisCache:
+    """The shift's right factor B C shares the one (p, n) entry."""
+
+    def test_each_visit_evicts_the_other_p_or_n(self):
+        # the same p with another n must not reuse the factors of the first
+        w = exp_sum(0.5)
+        visits = ((1000, 100), (1000, 50), (10, 5), (1000, 100))
+        expected = {pn: reference_shift(w, *pn) for pn in set(visits)}
+        _factors.cache_clear()
+        for visit, (p, n) in enumerate(visits, start=1):
+            assert np.array_equal(build_fg_shift(w, p, n).entries, expected[p, n])
+            info = _factors.cache_info()
+            assert (info.misses, info.currsize) == (visit, 1)
+        # the raw matrix at the same (p, n) reads the same entry
+        compute_tilde_w(w, 1000, 100)
+        info = _factors.cache_info()
+        assert (info.hits, info.misses) == (1, len(visits))
+
+    def test_cached_right_factor_is_read_only(self):
+        right = _factors(10, 5)[2]
+        assert right.shape == (11, 5)
+        with pytest.raises(ValueError, match="read-only"):
+            right[0, 0] = 0.5
 
 
 class TestFredholmSolve:
