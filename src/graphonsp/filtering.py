@@ -183,6 +183,8 @@ def filter_pipeline(w, f, order: int, d: IdealResponse, p: int, n: int,
 
     Returns the designed coefficients, the design residual, the filtered
     output at t_points uniform points, and the frequency response H @ 1.
+    The shift operator is ``build_fg_shift``'s, so it is reused when ``w``
+    was just built at (p, n).
     """
     w_op = build_fg_shift(w, p, n)
     design = design_filter(w_op, order, d)

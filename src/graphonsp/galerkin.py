@@ -31,6 +31,12 @@ B[:, :r]^T K B[:, :r].
 The returned shift operator acts on unit-series coefficient vectors
 (entry i multiplies c_{i-1}): rows are scaled by 1/(2*normalizer) so that
 the matrix represents g = T f on [0,1] including the domain-map Jacobian.
+
+Two one-entry caches serve callers that work at one (p, n) in a row.
+``_factors`` keeps the nodes and the two factors, keyed by (p, n), for the
+next kernel.  ``_shift`` keeps the last shift operator, keyed by (graphon,
+p, n), so that ``build_fg_shift``, ``fredholm_solve`` and
+``filtering.filter_pipeline`` on one graphon evaluate its kernel once.
 """
 
 from __future__ import annotations
@@ -83,8 +89,10 @@ def _factors(p: int, n: int):
     They depend on (p, n) alone.  One entry is kept, (p+1)(2n+1) * 8 bytes
     (1.6 MB at p=1000, n=100): callers build several operators at one
     (p, n) in a row, and the kernel changes between them while (p, n) does
-    not.  B itself, (p+1)^2 entries, is dropped on return: the left factor
-    is a copy of its columns, since a view would keep all of B alive.
+    not; the operator of one kernel is cached apart, keyed by (graphon, p,
+    n), by ``_shift``.  B itself, (p+1)^2 entries, is dropped on return:
+    the left factor is a copy of its columns, since a view would keep all
+    of B alive.
     """
     rule = QuadratureRule(p)
     x = map_domain_inverse(rule.nodes)
@@ -146,21 +154,43 @@ def compute_tilde_w(w: Graphon, p: int, n_pad: int) -> OperatorMatrix:
     return OperatorMatrix(entries=entries)
 
 
-def build_fg_shift(w: Graphon, p: int, n: int) -> OperatorMatrix:
-    """Fourier-Galerkin shift operator: tilde sums with the weight correction
-    C folded in, then normalization onto unit-series coefficients."""
-    _check_basis_size(p, n)
+@functools.lru_cache(maxsize=1)
+def _shift(w: Graphon, p: int, n: int) -> np.ndarray:
+    """The read-only entries of the shift operator of ``w`` at (p, n).
+
+    One entry is kept: a build, the Fredholm solve and the filter pipeline
+    that follow it on the same graphon at the same (p, n) evaluate the
+    kernel once between them.  The key is the graphon object itself
+    (``Graphon`` compares by identity), which is sound because a graphon's
+    values are immutable after construction; the cache holds a strong
+    reference, so the object's id cannot be reused while it is cached.  It
+    keeps alive one n x n array and the last graphon with what its closure
+    holds: for an empirical graphon, the graph's adjacency (16 MB at
+    ``sampling.MAX_NODES``).
+    """
     corrected = _galerkin(w, *_factors(p, n))
     entries = corrected / (2.0 * coefficient_normalizers(n))[:, None]
     entries.flags.writeable = False
-    return OperatorMatrix(entries=entries)
+    return entries
+
+
+def build_fg_shift(w: Graphon, p: int, n: int) -> OperatorMatrix:
+    """Fourier-Galerkin shift operator: tilde sums with the weight correction
+    C folded in, then normalization onto unit-series coefficients.
+
+    The entries are shared, read-only, with the last build of the same
+    graphon object at the same (p, n); see ``_shift``."""
+    _check_basis_size(p, n)
+    return OperatorMatrix(entries=_shift(w, p, n))
 
 
 def fredholm_solve(w: Graphon, f, p: int, n: int, t_points: int) -> np.ndarray:
     """Approximate g(x) = int_0^1 W(x,y) f(y) dy at t_points uniform points.
 
     ``f`` is a closure on [0,1]; the returned values sit on the uniform
-    grid x = (u+1)/2 with u running over [-1,1] inclusive.
+    grid x = (u+1)/2 with u running over [-1,1] inclusive.  The operator is
+    ``build_fg_shift``'s, so it is reused when ``w`` was just built at
+    (p, n).
     """
     return project_apply_resample(build_fg_shift(w, p, n).entries, f, p, t_points)
 

@@ -57,8 +57,10 @@ class Graph:
     ``adjacency`` is a dense symmetric boolean matrix with zero diagonal; N is
     its side.  ``Graph`` raises ValueError unless it is a nonempty square
     boolean array, and then unless it is symmetric with a zero diagonal, an
-    O(N^2) check made once, here.  ``latent`` holds the uniform samples used
-    to generate the graph (nondecreasing when sampled with sorting enabled).
+    O(N^2) check made once, here; ``sample_graph`` and ``graph_from_edgelist``
+    build it so and skip the check.  ``latent`` holds the uniform samples
+    used to generate the graph (nondecreasing when sampled with sorting
+    enabled).
     """
 
     adjacency: np.ndarray
@@ -80,6 +82,19 @@ class Graph:
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
+
+    @classmethod
+    def _built_simple(cls, adjacency: np.ndarray, latent) -> "Graph":
+        """A Graph of a nonempty square boolean adjacency that its builder
+        made symmetric with a zero diagonal, without the O(N^2) check.
+
+        For ``sample_graph`` and ``graph_from_edgelist`` only, which write
+        each edge and its mirror image together and never the diagonal.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "adjacency", adjacency)
+        object.__setattr__(g, "latent", latent)
+        return g
 
     def edge_count(self) -> int:
         return int(self.adjacency.sum()) // 2
@@ -134,7 +149,7 @@ def sample_graph(w: Graphon, n: int, seed: int, sorted_latent: bool = True) -> G
         r0 = r1
     adj.flags.writeable = False
     latent.flags.writeable = False
-    return Graph(adjacency=adj, latent=latent)
+    return Graph._built_simple(adj, latent)
 
 
 def scaled_adjacency(g: Graph) -> Graph:
@@ -261,4 +276,4 @@ def graph_from_edgelist(path, latent_path=None) -> Graph:
                      f"{latent_path}: latent values must be finite and lie in [0, 1]")
         latent.flags.writeable = False
     adj.flags.writeable = False
-    return Graph(adjacency=adj, latent=latent)
+    return Graph._built_simple(adj, latent)

@@ -233,10 +233,13 @@ class TestFilterConvergence:
             run_filter_convergence(cfg)
 
     def test_reproducible(self):
-        cfg = small_config(graphons={"er:0.5": erdos_renyi(0.5)},
-                           node_counts=(100, 200), seeds=(0, 1))
-        a, am = run_filter_convergence(cfg)
-        b, bm = run_filter_convergence(cfg)
+        # a new graphon object per run, so the second run builds its
+        # operator again instead of reading the first run's from the cache
+        def cfg():
+            return small_config(graphons={"er:0.5": erdos_renyi(0.5)},
+                                node_counts=(100, 200), seeds=(0, 1))
+        a, am = run_filter_convergence(cfg())
+        b, bm = run_filter_convergence(cfg())
         assert records_equal(a, b) and am == bm
 
 

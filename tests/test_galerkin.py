@@ -1,14 +1,18 @@
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from graphonsp import galerkin
 from graphonsp.chebyshev import (QuadratureRule, cheb_basis_matrix,
                                  coefficient_normalizers, map_domain_inverse)
-from graphonsp.galerkin import (_factors, _weight_correction, build_fg_shift,
-                                compute_tilde_w, fredholm_solve,
+from graphonsp.cli import parse_graphon_spec
+from graphonsp.filtering import IdealResponse, filter_pipeline
+from graphonsp.galerkin import (_factors, _galerkin, _weight_correction,
+                                build_fg_shift, compute_tilde_w, fredholm_solve,
                                 operator_to_csv, resolvent_eigs)
 from graphonsp.kernels import (empirical_graphon, erdos_renyi, exp_distance,
                                exp_sum, grid_graphon, sin_product)
@@ -273,12 +277,13 @@ class TestBasisCache:
 
     def test_warm_build_holds_k_beside_the_cached_basis(self):
         # K (8 MB at p=1000) and the block-sized temporaries; an unblocked
-        # Graphon.eval would add a second 8 MB array
-        w = exp_sum(0.5)
-        build_fg_shift(w, 1000, 100)
+        # Graphon.eval would add a second 8 MB array.  The second build is
+        # of a new graphon object, so that it misses the shift cache and
+        # reads only the factors from theirs.
+        build_fg_shift(exp_sum(0.5), 1000, 100)
         tracemalloc.start()
         try:
-            build_fg_shift(w, 1000, 100)
+            build_fg_shift(exp_sum(0.5), 1000, 100)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -321,6 +326,90 @@ class TestCorrectedBasisCache:
         assert right.shape == (11, 5)
         with pytest.raises(ValueError, match="read-only"):
             right[0, 0] = 0.5
+
+
+@pytest.fixture
+def kernel_builds(monkeypatch):
+    """The graphons ``_galerkin`` is called on, one entry per call."""
+    calls = []
+    real = galerkin._galerkin
+
+    def counted(w, *factors):
+        calls.append(w)
+        return real(w, *factors)
+
+    monkeypatch.setattr(galerkin, "_galerkin", counted)
+    return calls
+
+
+def direct_shift(w, p, n):
+    return _galerkin(w, *_factors(p, n)) / (2.0 * coefficient_normalizers(n))[:, None]
+
+
+class TestShiftCache:
+    """The shift's entries are cached for the last (graphon object, p, n)."""
+
+    @pytest.mark.parametrize("p, n", [(10, 5), (1000, 100)])
+    def test_build_solve_and_pipeline_evaluate_the_kernel_once(self, kernel_builds, p, n):
+        w = exp_distance(10)
+        op = build_fg_shift(w, p, n)
+        fredholm_solve(w, lambda x: x, p, n, 50)
+        filter_pipeline(w, lambda x: x, 5, IdealResponse(np.eye(n)[0]), p, n, 50)
+        again = build_fg_shift(w, p, n)
+        assert kernel_builds == [w]
+        # a new OperatorMatrix around the one read-only array
+        assert again is not op and again.entries is op.entries
+
+    def test_another_graphon_object_or_size_rebuilds(self, kernel_builds):
+        a, b = parse_graphon_spec("expsum:0.5"), parse_graphon_spec("expsum:0.5")
+        for w, p, n in ((a, 10, 5), (a, 10, 5), (b, 10, 5), (b, 12, 5), (b, 12, 6),
+                        (b, 10, 5)):
+            build_fg_shift(w, p, n)
+        assert kernel_builds == [a, b, b, b, b]
+
+    def test_bad_basis_size_raises_before_the_lookup(self, kernel_builds):
+        w = erdos_renyi(0.5)
+        build_fg_shift(w, 10, 5)
+        with pytest.raises(ValueError):
+            build_fg_shift(w, 4, 6)
+        assert kernel_builds == [w]
+
+    def test_cached_entries_are_read_only(self):
+        entries = build_fg_shift(exp_sum(0.5), 10, 5).entries
+        with pytest.raises(ValueError, match="read-only"):
+            entries[0, 0] = 0.5
+
+    @pytest.mark.parametrize("p, n", [(10, 5), (64, 16), (1000, 100)])
+    @pytest.mark.parametrize("kernel", BUILT_INS + [EMPIRICAL], ids=lambda w: w.label)
+    def test_entries_are_the_direct_product(self, kernel, p, n):
+        got = build_fg_shift(kernel, p, n).entries
+        assert np.array_equal(got, direct_shift(kernel, p, n))
+        assert np.array_equal(build_fg_shift(kernel, p, n).entries, got)
+
+    def test_threads_alternating_graphons_give_the_serial_bits(self):
+        # each job's graphon differs from the one before, so concurrent
+        # builds keep evicting each other's shift
+        jobs = [(w, 300, 30) for w in BUILT_INS] * 6
+        expected = [build_fg_shift(*job).entries for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(build_fg_shift, *job) for job in jobs]
+                got = [f.result(timeout=60).entries for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+
+    def test_readme_minimal_session_evaluates_the_kernel_once(self, kernel_builds):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        session = readme.split("A minimal session:\n", 1)[1]
+        code = session.split("```python\n", 1)[1].split("```", 1)[0]
+        scope = {}
+        exec(code, scope)
+        assert "fredholm_solve(w" in code and "build_fg_shift(w" in code
+        assert kernel_builds == [scope["w"]]
 
 
 class TestFredholmSolve:

@@ -190,6 +190,24 @@ class TestGraph:
         with pytest.raises(ValueError, match="nonempty square boolean adjacency"):
             Graph(adjacency=adjacency)
 
+    def test_sampler_and_reader_skip_the_symmetry_check(self, monkeypatch, tmp_path):
+        # both build the adjacency symmetric and loop-free, so neither pays
+        # the O(N^2) check again; the graphs keep their bits
+        w = sin_product(0.5, 0.5, 3.5)
+        expected = sample_graph(w, 300, seed=5)
+        path = tmp_path / "g.edges"
+        graph_to_edgelist(expected, path)
+
+        def refuse(self):
+            raise AssertionError("Graph checked again")
+
+        monkeypatch.setattr(Graph, "__post_init__", refuse)
+        sampled = sample_graph(w, 300, seed=5)
+        for g in (sampled, graph_from_edgelist(path)):
+            assert type(g) is Graph and np.array_equal(g.adjacency, expected.adjacency)
+            assert not g.adjacency.flags.writeable
+        assert np.array_equal(sampled.latent, expected.latent)
+
 
 class TestScaledAdjacency:
     def test_complete_graph_entries(self):
