@@ -8,13 +8,14 @@ input.  Discrepancies are measured on a common uniform resample grid: the
 graph output enters as the piecewise-constant strip interpolant of the
 output vector taken in latent order (node of rank r on strip r), the
 graphon output as the resampled Chebyshev series.  Independent (graphon,
-N, seed) cells run in a thread pool and are merged in key order, so
-records are reproducible bit-identically from the configuration.
+N, seed) cells run in a pool of one thread per CPU, at most four, merged
+in key order: records are bit-identical from the configuration alone.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,8 +50,8 @@ DESIGN_ORDERS = tuple(range(1, 9))
 class ExperimentConfig:
     """Inputs shared by the experiment drivers.
 
-    ``graphons`` maps labels to kernels.  ``ideal`` is the ideal response
-    diagonal (length = basis size) used by the design experiments, which
+    ``graphons`` maps labels to kernels.  ``ideal`` is the low-pass study's
+    ideal response diagonal (length = basis size); the design studies
     report curves at ``chosen_order``, one of ``DESIGN_ORDERS``;
     ``filter_taps`` is the fixed tap vector used by the convergence sweep.
     """
@@ -117,7 +118,11 @@ def _filter_cells(cfg: ExperimentConfig,
     the input function, the uniform resample grid on [0,1], each label's
     graphon reference curve on that grid and, in key order, each cell's key
     with the strip interpolant of its graph output, nodes in latent order.
+    ValueError on a repeated seed or node count, before any graph is sampled.
     """
+    for name, values in (("seeds", cfg.seeds), ("node counts", cfg.node_counts)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} must be distinct, got {list(values)}")
     f = input_function(cfg.input_id)
     xgrid = map_domain_inverse(np.linspace(-1.0, 1.0, cfg.resample_points))
     references = {label: project_apply_resample(fg_filter_operator(op, taps), f,
@@ -132,7 +137,7 @@ def _filter_cells(cfg: ExperimentConfig,
         y = apply_graph_filter(g, filters[label][1], f(g.latent))
         return y[np.argsort(g.latent, kind="stable")][_cell_index(xgrid, n)]
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
+    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
         return f, xgrid, references, list(zip(cells, pool.map(run, cells)))
 
 
@@ -186,7 +191,11 @@ def run_lowpass(cfg: ExperimentConfig):
 
 
 def run_consensus(cfg: ExperimentConfig):
-    """Consensus design study: preserve only the constant frequency."""
+    """Consensus design study: preserve only the constant frequency; its
+    ideal response is fixed, so a set ``cfg.ideal`` is a ValueError."""
+    if cfg.ideal is not None:
+        raise ValueError("the consensus study's ideal response is fixed; "
+                         "it takes no ideal")
     return _run_design_experiment(cfg, None, (1.0,))
 
 
@@ -196,9 +205,8 @@ def run_filter_convergence(cfg: ExperimentConfig):
     Uses the fixed taps from the configuration on both sides and reports
     one record per (graphon, N, seed) plus per-N means.
     """
-    counts = list(cfg.node_counts)
-    if sorted(counts) != counts or len(set(counts)) != len(counts):
-        raise ValueError("node counts must be strictly increasing")
+    if list(cfg.node_counts) != sorted(cfg.node_counts):
+        raise ValueError("node counts must be increasing")
     taps = FilterCoeffs(cfg.filter_taps)
     _, _, references, cells = _filter_cells(
         cfg, {label: (build_fg_shift(w, cfg.panels, cfg.basis), taps)

@@ -79,6 +79,7 @@ def step_operator_matrix(w: Graphon) -> np.ndarray:
 
 def apply_empirical_operator(w: Graphon, f: StepSignal) -> StepSignal:
     """Apply the empirical-graphon Fredholm operator to a step signal:
-    lift((1/N) * M * unlift(f)) for the step operator matrix M, by the row-block
-    loop of ``apply_shift``, whose result on the graph it equals bit for bit."""
+    lift(M * fl(1/N) @ unlift(f)) for the step operator matrix M, by the row-
+    block loop of ``apply_shift``, whose result on the graph it equals bit
+    for bit."""
     return lift(_scaled_matvec(step_operator_matrix(w), f.coeffs))

@@ -242,6 +242,17 @@ class TestDispatch:
         assert "error: ideal response length 2 does not match operator size 5" in err
         assert not out.exists()
 
+    def test_repeated_seed_exits_2(self, tmp_path, capsys):
+        args = {"convergence": ["--n-values", "20,40", "--seeds", "1,1"],
+                "lowpass": ["--n", "10", "--seeds", "0,0"],
+                "consensus": ["--n", "10", "--seeds", "0,0"]}
+        for study, flags in args.items():
+            out = tmp_path / study
+            assert dispatch([f"experiment:{study}", "--graphon", "er:0.5", *flags,
+                             "--out-dir", str(out)]) == 2
+            assert "error: seeds must be distinct" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_graphons_sharing_a_curve_file_name_exit_2(self, tmp_path, capsys):
         specs = []
         for name in ("g_1.csv", "g-1.csv"):

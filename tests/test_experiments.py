@@ -1,8 +1,10 @@
 import csv
+import os
 
 import numpy as np
 import pytest
 
+from graphonsp import experiments
 from graphonsp.experiments import (DESIGN_ORDERS, ExperimentConfig,
                                    curves_to_csv, input_function,
                                    records_to_csv, run_consensus,
@@ -164,6 +166,10 @@ class TestLowpass:
 
 
 class TestConsensus:
+    def test_ideal_refused(self):
+        with pytest.raises(ValueError, match="takes no ideal"):
+            run_consensus(small_config(ideal=(1.0, 0.0, 0.0, 0.0, 0.0)))
+
     def test_er_residual_near_zero(self):
         records, _ = run_consensus(small_config())
         res = residuals_by_graphon(records, order=5)
@@ -241,6 +247,68 @@ class TestFilterConvergence:
         a, am = run_filter_convergence(cfg())
         b, bm = run_filter_convergence(cfg())
         assert records_equal(a, b) and am == bm
+
+
+class TestRepeatedCells:
+    """A repeated seed or node count would repeat a cell, so a per-N mean
+    would count one sample twice; it is refused before any graph is sampled."""
+
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a graph was sampled")
+        monkeypatch.setattr("graphonsp.experiments.sample_graph", never)
+
+    def test_convergence_repeated_seed(self):
+        with pytest.raises(ValueError, match=r"seeds must be distinct, got \[1, 1\]"):
+            run_filter_convergence(small_config(node_counts=(20, 40), seeds=(1, 1)))
+
+    def test_lowpass_repeated_seed(self):
+        with pytest.raises(ValueError, match=r"seeds must be distinct, got \[0, 2, 0\]"):
+            run_lowpass(small_config(seeds=(0, 2, 0)))
+
+    def test_consensus_repeated_seed(self):
+        with pytest.raises(ValueError, match=r"seeds must be distinct, got \[0, 0\]"):
+            run_consensus(small_config(seeds=(0, 0)))
+
+    @pytest.mark.parametrize("run", [run_lowpass, run_consensus])
+    def test_design_repeated_node_count(self, run):
+        with pytest.raises(ValueError, match="node counts must be distinct"):
+            run(small_config(node_counts=(100, 100)))
+
+
+class TestWorkers:
+    """One pool worker per CPU, at most four; records do not depend on it."""
+
+    @staticmethod
+    def run_with_cpus(monkeypatch, cpus):
+        pools = []
+        real = experiments.ThreadPoolExecutor
+
+        def pool(max_workers):
+            pools.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", pool)
+        conv, means = run_filter_convergence(small_config(
+            graphons={"er:0.5": erdos_renyi(0.5),
+                      "expdist:10": exp_distance(10.0)},
+            node_counts=(50, 120), seeds=(0, 1, 2)))
+        low, curves = run_lowpass(small_config(node_counts=(150,), seeds=(0, 1, 2)))
+        out = repr((conv, sorted(means.items()), low)).encode()
+        for c in curves:
+            out += b"".join(a.tobytes() for a in (c.grid, c.ideal, c.graphon_pred,
+                                                  c.graph_empirical))
+        return pools, out
+
+    def test_pool_size_follows_the_cpu_count(self, monkeypatch):
+        outputs = []
+        for cpus, workers in ((1, 1), (2, 2), (8, 4), (None, 1)):
+            pools, out = self.run_with_cpus(monkeypatch, cpus)
+            assert pools == [workers, workers]
+            outputs.append(out)
+        assert all(out == outputs[0] for out in outputs)
 
 
 class TestCsvEmission:

@@ -468,7 +468,7 @@ class TestResolventEigs:
         # an ER(p) sample approaches p
         g = sample_graph(erdos_renyi(0.5), 2000, seed=17)
         s = scaled_adjacency(g)
-        radius = power_iteration_radius(s.entries, iters=100)
+        radius = power_iteration_radius(s.adjacency / s.n, iters=100)
         assert abs(radius - 0.5) < 0.05
 
 

@@ -12,6 +12,16 @@ from graphonsp.steps import (apply_empirical_operator, lift,
                              step_operator_matrix, unlift)
 
 
+def multiplied_block_loop(grid, x):
+    """S @ x for S = grid * fl(1/N), a row block of S at a time."""
+    n = grid.shape[0]
+    rows = max(8, sampling._SHIFT_BLOCK_ENTRIES // (8 * n) * 8)
+    out = np.empty(n)
+    for r0 in range(0, n, rows):
+        np.matmul(grid[r0:r0 + rows] * (1.0 / n), x, out=out[r0:r0 + rows])
+    return out
+
+
 class TestLiftUnlift:
     def test_roundtrip(self):
         x = np.array([1.0, 2.0, 3.0])
@@ -116,20 +126,16 @@ class TestEmpiricalOperator:
                     lifted = unlift(apply_empirical_operator(we, lift(x)))
                     np.testing.assert_array_equal(lifted, apply_shift(s, x))
 
-    def test_float_grid_is_divided_by_n(self):
-        # a float grid times fl(1/N) is not grid / N in the last bit, so a
-        # non-boolean grid keeps the division of the row-block loop
+    def test_float_grid_is_multiplied_by_one_over_n(self):
+        # every grid takes the boolean rule S = grid * fl(1/N); on a float
+        # grid that is not grid / N in the last bit
         n = 333
         grid = np.random.default_rng(5).random((n, n))
         grid = (grid + grid.T) / 2
         assert not np.array_equal(grid * (1.0 / n), grid / n)
         x = np.random.default_rng(6).standard_normal(n)
-        rows = max(8, sampling._SHIFT_BLOCK_ENTRIES // (8 * n) * 8)
-        expected = np.empty(n)
-        for r0 in range(0, n, rows):
-            np.matmul(grid[r0:r0 + rows] / n, x, out=expected[r0:r0 + rows])
         got = unlift(apply_empirical_operator(grid_graphon(grid), lift(x)))
-        assert got.tobytes() == expected.tobytes()
+        assert got.tobytes() == multiplied_block_loop(grid, x).tobytes()
 
     def test_operator_powers_match_shift_powers(self):
         g = sample_graph(erdos_renyi(0.5), 60, seed=21)
@@ -168,6 +174,24 @@ class TestProperties:
         g, x = graph_signal
         lifted = unlift(apply_empirical_operator(empirical_graphon(g), lift(x)))
         np.testing.assert_array_equal(lifted, apply_shift(scaled_adjacency(g), x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), st.integers(0, 2 ** 32 - 1))
+    def test_float_grid_within_one_ulp_of_division(self, n, seed):
+        rng = np.random.default_rng(seed)
+        grid = rng.random((n, n))
+        grid = (grid + grid.T) / 2
+        x = rng.standard_normal(n)
+        got = unlift(apply_empirical_operator(grid_graphon(grid), lift(x)))
+        assert got.tobytes() == multiplied_block_loop(grid, x).tobytes()
+        # each entry of S is within 1 ulp of grid / N, so S @ x is within
+        # that perturbation's sum of (grid / N) @ x, plus the rounding of
+        # two N-term dot products
+        divided = grid / n
+        assert np.all(np.abs(grid * (1.0 / n) - divided) <= np.spacing(divided))
+        bound = (np.spacing(divided) @ np.abs(x)
+                 + 2 * n * np.finfo(float).eps * (divided @ np.abs(x)))
+        assert np.all(np.abs(got - divided @ x) <= bound)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 400))
