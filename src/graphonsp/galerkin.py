@@ -165,8 +165,8 @@ def _shift(w: Graphon, p: int, n: int) -> np.ndarray:
     values are immutable after construction; the cache holds a strong
     reference, so the object's id cannot be reused while it is cached.  It
     keeps alive one n x n array and the last graphon with what its closure
-    holds: for an empirical graphon, the graph's adjacency (16 MB at
-    ``sampling.MAX_NODES``).
+    holds: for an empirical graphon, the graph's packed adjacency rows
+    (32 MB at ``sampling.MAX_NODES``).
     """
     corrected = _galerkin(w, *_factors(p, n))
     entries = corrected / (2.0 * coefficient_normalizers(n))[:, None]

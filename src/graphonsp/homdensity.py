@@ -16,12 +16,13 @@ from typing import Tuple
 
 import numpy as np
 
-from .kernels import Graphon
-from .sampling import MAX_NODES, Graph, _coerce_seed
+from .kernels import Graphon, _check_range
+from .sampling import Graph, _coerce_seed
 
 __all__ = [
     "Motif",
     "MAX_MOTIF_NODES",
+    "HOM_MAX_NODES",
     "edge_motif",
     "triangle_motif",
     "path3_motif",
@@ -33,6 +34,12 @@ __all__ = [
 
 MAX_MOTIF_NODES = 8
 _MC_BATCH = 100_000
+
+# hom_count's node cap: its float64 adjacency takes 8 N^2 bytes (128 MB here)
+HOM_MAX_NODES = 4096
+
+# rows of motif-vertex draws per kernel evaluation in hom_density_graphon
+_MC_RUN = 8192
 
 # float64 holds every integer below this exactly
 _EXACT = 2 ** 53
@@ -92,19 +99,27 @@ def hom_count(f: Motif, g: Graph) -> int:
     (m - 1) * N < 2^53 for every motif.  The moduli are pairwise coprime with
     a product above N^K; the CRT joins the residues in Python integers.
 
-    ``Graph`` has checked that ``g.adjacency`` is symmetric with a zero
-    diagonal.  Raises ValueError before any contraction if x would hold more
-    than MAX_NODES^2 entries, the adjacency copy's size at N=MAX_NODES.
+    ``Graph`` has checked that the adjacency is symmetric with a zero
+    diagonal.  Raises ValueError before any copy of it if N exceeds
+    HOM_MAX_NODES, and before any contraction if x would hold more than
+    HOM_MAX_NODES^2 entries, the adjacency copy's size at N=HOM_MAX_NODES.
     """
     n = g.n
+    if n > HOM_MAX_NODES:
+        raise ValueError(f"hom_count: N={n} is above HOM_MAX_NODES = {HOM_MAX_NODES}, "
+                         f"the node cap of its float64 adjacency")
     steps, width = _plan(f)
     isolated = n ** (f.k - len(steps))
     if not steps:
         return isolated
-    if n ** width > MAX_NODES ** 2:
+    if n ** width > HOM_MAX_NODES ** 2:
         raise ValueError(f"hom_count: this motif needs a factor of N^{width} = "
-                         f"{n ** width} entries at N={n}, above MAX_NODES^2")
-    a = g.adjacency.astype(np.float64)
+                         f"{n ** width} entries at N={n}, above HOM_MAX_NODES^2")
+    # the float64 adjacency, unpacked from the packed rows a block at a time
+    a = np.empty((n, n))
+    rows = max(1, 2 ** 16 // n)
+    for r0 in range(0, n, rows):
+        a[r0:r0 + rows] = np.unpackbits(g.packed[r0:r0 + rows], axis=1, count=n)
     total = n ** len(steps)
     if total < _EXACT:
         return isolated * int(_contract(steps, a, None))
@@ -122,7 +137,8 @@ def _plan(f: Motif):
     split it into BLAS calls.  Once a vertex set S is summed out, x is
     indexed by the vertices outside S with a neighbour in S, whatever the
     order, so a dynamic programme over the 2^K sets finds an order of least
-    width; ties go to the least work, the sum of MAX_NODES^(indices of a step).
+    width; ties go to the least work, the sum of HOM_MAX_NODES^(indices of a
+    step).
     """
     nbrs = [0] * f.k
     for a, b in f.edges:
@@ -142,7 +158,7 @@ def _plan(f: Motif):
                 width, work, order = best[s ^ 1 << v]
                 size = (held[s ^ 1 << v] | held[s] | 1 << v).bit_count()
                 options.append((max(width, held[s].bit_count()),
-                                work + MAX_NODES ** size, order + (v,)))
+                                work + HOM_MAX_NODES ** size, order + (v,)))
         best[s] = min(options)
     width, _, order = best[live]
     letters = "abcdefgh"
@@ -212,9 +228,12 @@ def hom_density_graphon(f: Motif, w: Graphon, samples: int,
     Averages the product of kernel values over the motif edges at i.i.d.
     uniform K-tuples.  Samples are drawn in batches with derived seeds, so
     batches could run in parallel and merge; the sequential evaluation here
-    keeps the estimate deterministic per seed.  Each batch's (count, mean,
-    M2) is merged by Chan's pairwise update, so the variance never comes
-    from the cancelling difference of two large sums.
+    keeps the estimate deterministic per seed.  A batch draws its K-tuples
+    as rows, in runs of up to 8192 rows that continue one row-major stream,
+    and each run's draws are range-checked once before ``w.func`` sees them.
+    Each batch's (count, mean, M2) is merged by Chan's pairwise update, so
+    the variance never comes from the cancelling difference of two large
+    sums.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -227,11 +246,13 @@ def hom_density_graphon(f: Motif, w: Graphon, samples: int,
     while done < samples:
         count = min(_MC_BATCH, samples - done)
         rng = np.random.default_rng(root.spawn(1)[0])
-        # one contiguous row of draws per motif vertex
-        pts = np.ascontiguousarray(rng.random((count, f.k)).T)
         vals = np.ones(count)
-        for a, b in f.edges:
-            vals *= w.eval(pts[a], pts[b])
+        for r0 in range(0, count, _MC_RUN):
+            pts = rng.random((min(_MC_RUN, count - r0), f.k))
+            _check_range(pts, 0.0, 1.0, "graphon arguments must lie in [0, 1]")
+            run = vals[r0:r0 + len(pts)]
+            for a, b in f.edges:
+                run *= w.func(pts[:, a], pts[:, b])
         total += float(vals.sum())
         # shifting by one sample makes a constant batch's deviations exactly 0
         dev = vals - vals[0]

@@ -1,9 +1,9 @@
 """Graphon kernels: bounded symmetric functions on the unit square.
 
 A graphon is evaluated pointwise on [0,1]^2 by one closure: an analytic
-formula, or the cell lookup of a piecewise-constant grid, boolean when it
-is a graph's adjacency.  Values are immutable after construction, so graphons are safe
-to share across threads.
+formula, or the cell lookup of a piecewise-constant grid, a bit lookup in
+the packed rows when it is a graph's adjacency.  Values are immutable after
+construction, so graphons are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -54,13 +54,22 @@ class Graphon:
     closure ``func`` of two float arrays.  A grid graphon's ``func`` takes the
     value of the cell pair holding (x, y), where cell i is [i/M, (i+1)/M) in
     each coordinate and the last cell is closed at 1.0, so evaluation is total
-    on the square; its square symmetric M x M float or boolean cells stay in
-    ``grid`` for ``steps.step_operator_matrix`` and ``grid_to_csv``.
+    on the square.  ``cells`` keeps its square symmetric M x M float cells,
+    or for an empirical graphon the graph's packed adjacency rows (uint8,
+    M x ceil(M/8), one bit per cell), read-only, for ``steps``; ``grid``
+    reads them as an M x M matrix.
     """
 
     label: str
     func: object
-    grid: np.ndarray = field(default=None, repr=False)
+    cells: np.ndarray = field(default=None, repr=False)
+
+    @property
+    def grid(self):
+        """The M x M cells of a grid graphon, None for an analytic one: the
+        float cells themselves, or packed rows unpacked into a fresh
+        read-only boolean matrix."""
+        return None if self.cells is None else _cells(self.cells)
 
     def eval(self, x, y):
         """Evaluate W(x, y).  Accepts scalars or broadcastable arrays.
@@ -119,11 +128,31 @@ def exp_distance(alpha: float) -> Graphon:
                    lambda x, y: np.exp(-alpha * np.abs(x - y)))
 
 
+def _cells(grid: np.ndarray) -> np.ndarray:
+    """The M x M cells of a grid: float cells as they are, and packed rows
+    unpacked into a fresh read-only boolean matrix."""
+    if grid.dtype != np.uint8:
+        return grid
+    cells = np.unpackbits(grid, axis=1, count=len(grid)).view(bool)
+    cells.flags.writeable = False
+    return cells
+
+
 def _grid_graphon(grid: np.ndarray, label: str) -> Graphon:
-    """Graphon of a nonempty square symmetric grid, which this makes read-only."""
+    """Graphon of a nonempty square symmetric grid of floats, or of a graph's
+    packed adjacency rows (uint8), which this makes read-only."""
     grid.flags.writeable = False
     m = len(grid)
-    return Graphon(label, lambda x, y: grid[_cell_index(x, m), _cell_index(y, m)], grid)
+    if grid.dtype != np.uint8:
+        return Graphon(label, lambda x, y: grid[_cell_index(x, m), _cell_index(y, m)], grid)
+    flat, stride = grid.reshape(-1), grid.shape[1]
+
+    def bit(x, y):
+        # cell (i, j) is bit 7 - j % 8 of byte j // 8 of row i
+        j = _cell_index(y, m)
+        return flat[_cell_index(x, m) * stride + (j >> 3)] >> (7 - (j & 7)) & 1
+
+    return Graphon(label, bit, grid)
 
 
 def grid_graphon(grid: np.ndarray, label: str = "grid") -> Graphon:
@@ -143,11 +172,11 @@ def grid_graphon(grid: np.ndarray, label: str = "grid") -> Graphon:
 def empirical_graphon(graph) -> Graphon:
     """Piecewise-constant graphon induced by a graph's adjacency matrix.
 
-    Cell (i, j) holds 1 if the edge exists and 0 otherwise.  The grid is a
-    read-only view of the boolean adjacency, not a copy; ``Graph`` has
-    checked that it is symmetric with a zero diagonal.
+    Cell (i, j) holds 1 if the edge exists and 0 otherwise.  The cells are
+    the graph's own read-only packed rows, not a copy; ``Graph`` has checked
+    that they are symmetric with a zero diagonal.
     """
-    return _grid_graphon(graph.adjacency.view(), f"empirical:{graph.n}")
+    return _grid_graphon(graph.packed, f"empirical:{graph.n}")
 
 
 def l2_distance(w1: Graphon, w2: Graphon, grid_side: int) -> float:
@@ -167,7 +196,7 @@ def l2_distance(w1: Graphon, w2: Graphon, grid_side: int) -> float:
 
 def grid_to_csv(w: Graphon, path) -> None:
     """Write a grid graphon as a dense CSV of reals, one row per line, no header."""
-    if w.grid is None:
+    if w.cells is None:
         raise ValueError("only grid graphons serialize to CSV")
     np.savetxt(path, w.grid, delimiter=",")
 

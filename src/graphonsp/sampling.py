@@ -12,8 +12,12 @@ generator yields the same doubles as a single call for their total, and W
 is evaluated per pair, so the blocks change neither the stream order nor
 the graph: it is the one a single draw over all pairs gives.
 
-A graph is its own shift S = A/N: the boolean adjacency is applied a row
-block of S at a time, so no N x N float matrix is stored.
+A graph is stored as packed rows, one bit per node pair: N x ceil(N/8)
+bytes in the ``np.packbits`` layout, 1/8 of a boolean matrix.  Each row
+block is packed as it is sampled, its columns left of the block read back
+from the bits of the rows above, so no N x N array exists at any point.
+A graph is its own shift S = A/N, applied a row block of S at a time from
+the packed rows, so no N x N float or boolean matrix is ever stored.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import Graphon, _check_range
+from .kernels import Graphon, _cells, _check_range
 
 __all__ = [
     "Graph",
@@ -36,68 +40,97 @@ __all__ = [
     "graph_from_edgelist",
 ]
 
-# graphs are stored as a dense N x N boolean adjacency (16 MB at this bound)
-# and S = A/N is never stored whole; the studies top out at N=2000
-MAX_NODES = 4096
+# graphs are stored as packed rows, N^2/8 bytes (32 MB at this bound), and
+# S = A/N is never stored whole; the studies top out at N=2000
+MAX_NODES = 16384
 
 # pairs per row block of sample_graph, so that a block's kernel values and
-# draws (~1 MB) stay in cache
+# draws (~1 MB) stay in cache, and rows per block at most, so that a block's
+# unpacked rows take at most 64 N bytes
 _BLOCK_PAIRS = 2 ** 16
+_BLOCK_ROWS = 64
 
 # float64 values of S per row block of apply_shift (256 KB)
 _SHIFT_BLOCK_ENTRIES = 2 ** 15
 
+# bits of packed rows unpacked per call in apply_shift, several row blocks
+# at a time, so that small unpacking calls do not dominate at small N
+_UNPACK_BITS = 2 ** 18
+
 _SYMMETRY_TILE = 256  # side of the tiles Graph compares with their mirror images
 
+# the number of set bits in each byte value
+_BIT_COUNT = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
 
-@dataclass(frozen=True, eq=False)
+
+def _check_simple(adj) -> None:
+    """ValueError unless ``adj`` is a nonempty square boolean array that is
+    symmetric with a zero diagonal; the check is O(N^2)."""
+    if not (isinstance(adj, np.ndarray) and adj.dtype == bool and adj.ndim == 2
+            and adj.shape[0] == adj.shape[1] > 0):
+        raise ValueError("Graph needs a nonempty square boolean adjacency array")
+    n = adj.shape[0]
+    # tile by tile, so each transposed read stays in cache (~10x faster at N=4096)
+    b = _SYMMETRY_TILE
+    if adj.diagonal().any() or not all(
+            np.array_equal(adj[i:i + b, j:j + b], adj[j:j + b, i:i + b].T)
+            for i in range(0, n, b) for j in range(i, n, b)):
+        raise ValueError("Graph needs a symmetric adjacency with zero diagonal")
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Graph:
     """Undirected simple graph with optional latent positions.
 
-    ``adjacency`` is a dense symmetric boolean matrix with zero diagonal; N is
-    its side.  ``Graph`` raises ValueError unless it is a nonempty square
-    boolean array, and then unless it is symmetric with a zero diagonal, an
-    O(N^2) check made once, here; ``sample_graph`` and ``graph_from_edgelist``
-    build it so and skip the check.  ``latent`` holds the uniform samples
-    used to generate the graph (nondecreasing when sampled with sorting
-    enabled).
+    ``Graph(adjacency, latent=None)`` takes a dense boolean adjacency and
+    raises ValueError unless it is a nonempty square boolean array, and then
+    unless it is symmetric with a zero diagonal, an O(N^2) check made once,
+    here; ``sample_graph`` and ``graph_from_edgelist`` build a graph so and
+    skip the check.  The graph keeps only ``packed``, the read-only rows of
+    the adjacency in the ``np.packbits`` layout (uint8, N x ceil(N/8), the
+    bits past column N-1 zero), and ``latent``; N is the row count.
+    ``adjacency`` unpacks a fresh read-only boolean N x N matrix on each
+    access.  ``latent`` holds the uniform samples used to generate the graph
+    (nondecreasing when sampled with sorting enabled).
     """
 
-    adjacency: np.ndarray
+    packed: np.ndarray
     latent: Optional[np.ndarray] = None
 
-    def __post_init__(self):
-        adj = self.adjacency
-        if not (isinstance(adj, np.ndarray) and adj.dtype == bool and adj.ndim == 2
-                and adj.shape[0] == adj.shape[1] > 0):
-            raise ValueError("Graph needs a nonempty square boolean adjacency array")
-        n = adj.shape[0]
-        # tile by tile, so each transposed read stays in cache (~10x faster at N=4096)
-        b = _SYMMETRY_TILE
-        if adj.diagonal().any() or not all(
-                np.array_equal(adj[i:i + b, j:j + b], adj[j:j + b, i:i + b].T)
-                for i in range(0, n, b) for j in range(i, n, b)):
-            raise ValueError("Graph needs a symmetric adjacency with zero diagonal")
+    def __init__(self, adjacency: np.ndarray, latent: Optional[np.ndarray] = None):
+        _check_simple(adjacency)
+        packed = np.packbits(adjacency, axis=1)
+        packed.flags.writeable = False
+        object.__setattr__(self, "packed", packed)
+        object.__setattr__(self, "latent", latent)
 
     @property
     def n(self) -> int:
-        return self.adjacency.shape[0]
+        return self.packed.shape[0]
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """A fresh read-only N x N boolean matrix, N^2 bytes."""
+        return _cells(self.packed)
 
     @classmethod
-    def _built_simple(cls, adjacency: np.ndarray, latent) -> "Graph":
-        """A Graph of a nonempty square boolean adjacency that its builder
-        made symmetric with a zero diagonal, without the O(N^2) check.
+    def _built_simple(cls, packed: np.ndarray, latent) -> "Graph":
+        """A Graph of read-only packed rows that its builder made symmetric
+        with a zero diagonal, without the O(N^2) check.
 
         For ``sample_graph`` and ``graph_from_edgelist`` only, which write
         each edge and its mirror image together and never the diagonal.
         """
         g = object.__new__(cls)
-        object.__setattr__(g, "adjacency", adjacency)
+        object.__setattr__(g, "packed", packed)
         object.__setattr__(g, "latent", latent)
         return g
 
     def edge_count(self) -> int:
-        return int(self.adjacency.sum()) // 2
+        # each byte's set bits by table lookup, a block of rows at a time
+        rows = max(1, 2 ** 20 // self.packed.shape[1])
+        return sum(int(_BIT_COUNT[self.packed[r0:r0 + rows]].sum())
+                   for r0 in range(0, self.n, rows)) // 2
 
 
 def _coerce_seed(seed) -> np.uint64:
@@ -117,31 +150,51 @@ def sample_graph(w: Graphon, n: int, seed: int, sorted_latent: bool = True) -> G
     their draw order.  Either way node i sits at ``latent[i]``.
     """
     if not 1 <= n <= MAX_NODES:
-        raise ValueError(f"node count must lie in 1..{MAX_NODES} (dense storage), got {n}")
+        raise ValueError(f"node count must lie in 1..{MAX_NODES}, got {n}")
     rng = np.random.default_rng(_coerce_seed(seed))
     latent = rng.random(n)
     if sorted_latent:
         latent = np.sort(latent)
-    adj = np.zeros((n, n), dtype=bool)
+    packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    # One work buffer per call, carved into a block's draws, its uniforms,
+    # its pair mask and its unpacked rows, so that the blocks allocate only
+    # the kernel values.  Measured on glibc over one convergence and one
+    # low-pass study in their 2-worker pool: blocks that allocate and free
+    # these arrays page-fault ~33,000 times, one buffer ~6,000 times.
+    pairs = max(_BLOCK_PAIRS, n)  # a block's rows times its width is at most this
+    work = np.empty(2 * pairs + (pairs + _BLOCK_ROWS * n) // 8 + 1)
+    flags = work[2 * pairs:].view(bool)
+    cols = np.arange(n)
     r0 = 0
-    while r0 < n - 1:
+    while r0 < n:
         # Rows [r0, r1) against columns r0+1..n-1.  The block's pairs i < j
         # form its upper triangle and take their draws in row-major order;
         # the cells below it (j <= i) get an infinite draw, never an edge.
         width = n - 1 - r0
-        r1 = min(n - 1, r0 + max(1, _BLOCK_PAIRS // width))
-        probs = w.eval(latent[r0:r1, None], latent[None, r0 + 1:])
-        upper = np.arange(width) >= np.arange(r1 - r0)[:, None]
-        draws = np.full(probs.shape, np.inf)
-        draws[upper] = rng.random(np.count_nonzero(upper))
-        edges = draws < probs
-        adj[r0:r1, r0 + 1:] = edges
-        # the mirror image; OR keeps the pairs this block set above the diagonal
-        adj[r0 + 1:, r0:r1] |= edges.T
+        r1 = min(n, r0 + max(1, min(_BLOCK_ROWS, _BLOCK_PAIRS // max(width, 1))))
+        k = r1 - r0
+        # the latent positions lie in [0, 1), so W's closure needs no range
+        # check; comparing its values as they are spares eval's float copy
+        probs = w.func(latent[r0:r1, None], latent[None, r0 + 1:])
+        upper = np.greater_equal(cols[:width], cols[:k, None],
+                                 out=flags[:k * width].reshape(k, width))
+        count = np.count_nonzero(upper)
+        draws = work[:k * width].reshape(k, width)
+        draws.fill(np.inf)
+        draws[upper] = rng.random(count, out=work[pairs:pairs + count])
+        rows = flags[pairs:pairs + k * n].reshape(k, n)
+        np.less(draws, probs, out=rows[:, r0 + 1:])
+        # the block's own columns: the mirror image of its upper triangle
+        rows[:, r0] = False
+        rows[:, r0:r1] |= rows[:, r0:r1].T.copy()
+        # the columns left of it: the rows above, read over columns [r0, r1)
+        above = np.unpackbits(packed[:r0, r0 // 8:(r1 + 7) // 8], axis=1)
+        rows[:, :r0] = above[:, r0 % 8:r0 % 8 + k].T
+        packed[r0:r1] = np.packbits(rows, axis=1)
         r0 = r1
-    adj.flags.writeable = False
+    packed.flags.writeable = False
     latent.flags.writeable = False
-    return Graph._built_simple(adj, latent)
+    return Graph._built_simple(packed, latent)
 
 
 def scaled_adjacency(g: Graph) -> Graph:
@@ -153,14 +206,17 @@ def scaled_adjacency(g: Graph) -> Graph:
 
 
 def apply_shift(g: Graph, x: np.ndarray) -> np.ndarray:
-    """One diffusion step S @ x from the boolean adjacency; S is never stored."""
-    return _scaled_matvec(g.adjacency, x)
+    """One diffusion step S @ x from the packed rows; S is never stored."""
+    return _scaled_matvec(g.packed, x)
 
 
 def _scaled_matvec(m: np.ndarray, x) -> np.ndarray:
-    """S @ x for S = m * fl(1/N): m / N for a boolean m, within 1 ulp of it
-    per entry for a float m.  One reused buffer holds a row block of ~256 KB
-    of S at a time: the one loop behind ``apply_shift`` and the step operator.
+    """S @ x for S = A * fl(1/N), where A is a graph's packed rows (uint8,
+    N x ceil(N/8)) or a float N x N grid: A / N for a graph, within 1 ulp of
+    it per entry for a float grid.  One reused buffer holds a row block of
+    ~256 KB of S at a time: the one loop behind ``apply_shift`` and the step
+    operator.  Packed rows are unpacked ~2**18 bits at a time, whole row
+    blocks per call, so the blocks and the bits do not depend on it.
 
     Every block but the last has a multiple of 8 rows; the last holds the
     rows left over.  Measured with OpenBLAS 0.3.31 (numpy 2.4.6): the blocks
@@ -174,12 +230,16 @@ def _scaled_matvec(m: np.ndarray, x) -> np.ndarray:
     if x.shape != (n,):
         raise ValueError(f"signal length {x.shape} does not match operator size {n}")
     rows = max(8, _SHIFT_BLOCK_ENTRIES // (8 * n) * 8)
+    packed = m.dtype == np.uint8
+    span = rows * max(1, _UNPACK_BITS // (rows * n)) if packed else rows
     block = np.empty((min(rows, n), n))
     out = np.empty(n)
-    for r0 in range(0, n, rows):
-        k = min(rows, n - r0)
-        np.multiply(m[r0:r0 + k], 1.0 / n, out=block[:k], dtype=float)
-        np.matmul(block[:k], x, out=out[r0:r0 + k])
+    for s0 in range(0, n, span):
+        cells = np.unpackbits(m[s0:s0 + span], axis=1, count=n) if packed else m[s0:s0 + span]
+        for r0 in range(0, len(cells), rows):
+            k = min(rows, len(cells) - r0)
+            np.multiply(cells[r0:r0 + k], 1.0 / n, out=block[:k], dtype=float)
+            np.matmul(block[:k], x, out=out[s0 + r0:s0 + r0 + k])
     return out
 
 
@@ -208,7 +268,8 @@ def graph_to_edgelist(g: Graph, path, latent_path=None) -> None:
     with fh:
         fh.write(f"n {g.n}\n")
         for i in range(g.n - 1):  # one write per row: its edges to j > i
-            js = names[i + 1:][g.adjacency[i, i + 1:]]
+            row = np.unpackbits(g.packed[i], count=g.n).view(bool)
+            js = names[i + 1:][row[i + 1:]]
             if js.size:
                 fh.write(f"{i} " + f"\n{i} ".join(js) + "\n")
     if latent_path is not None:
@@ -239,7 +300,9 @@ def graph_from_edgelist(path, latent_path=None) -> Graph:
         if not 1 <= n <= MAX_NODES:
             raise ValueError(f"{path}:1: node count must lie in 1..{MAX_NODES}, "
                              f"got {n}")
-        adj = np.zeros((n, n), dtype=bool)
+        # the packed rows, one bit per node pair, as a flat byte string
+        stride = (n + 7) // 8
+        bits = bytearray(n * stride)
         for lineno, line in enumerate(fh, start=2):
             fields = line.split()
             if not fields:
@@ -253,9 +316,10 @@ def graph_from_edgelist(path, latent_path=None) -> Graph:
                                  f"outside 0..{n - 1}")
             if i == j:
                 raise ValueError(f"{path}:{lineno}: self-loop on node {i}")
-            if adj[i, j]:
+            if bits[i * stride + (j >> 3)] & 0x80 >> (j & 7):
                 raise ValueError(f"{path}:{lineno}: duplicate edge ({i}, {j})")
-            adj[i, j] = adj[j, i] = True
+            bits[i * stride + (j >> 3)] |= 0x80 >> (j & 7)
+            bits[j * stride + (i >> 3)] |= 0x80 >> (i & 7)
     latent = None
     if latent_path is not None:
         latent = np.loadtxt(latent_path, delimiter=",", ndmin=1)
@@ -265,5 +329,6 @@ def graph_from_edgelist(path, latent_path=None) -> Graph:
         _check_range(latent, 0.0, 1.0,
                      f"{latent_path}: latent values must be finite and lie in [0, 1]")
         latent.flags.writeable = False
-    adj.flags.writeable = False
-    return Graph._built_simple(adj, latent)
+    packed = np.frombuffer(bits, dtype=np.uint8).reshape(n, stride)
+    packed.flags.writeable = False
+    return Graph._built_simple(packed, latent)

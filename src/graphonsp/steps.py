@@ -63,23 +63,30 @@ def unlift(f: StepSignal) -> np.ndarray:
     return f.coeffs.copy()
 
 
+def _require_grid(w: Graphon) -> None:
+    if w.cells is None:
+        raise ValueError("step basis requires a grid graphon; analytic kernels "
+                         "go through the Chebyshev path")
+
+
 def step_operator_matrix(w: Graphon) -> np.ndarray:
     """Operator matrix of a grid graphon in the amplitude-N strip basis.
 
     Entry (i, j) is the double integral of the kernel against b_i(x) b_j(y).
     Because the grid cells align with the strips the integral is a cell sum:
     value * (1/N^2) * N^2 = value: for an empirical graphon, the boolean
-    adjacency itself.  Returns the graphon's own read-only grid, not a copy.
+    adjacency itself.  Returns a float grid's own read-only cells, not a
+    copy, and an empirical graphon's adjacency unpacked into a fresh
+    read-only boolean matrix.
     """
-    if w.grid is None:
-        raise ValueError("step basis requires a grid graphon; analytic kernels "
-                         "go through the Chebyshev path")
+    _require_grid(w)
     return w.grid
 
 
 def apply_empirical_operator(w: Graphon, f: StepSignal) -> StepSignal:
     """Apply the empirical-graphon Fredholm operator to a step signal:
     lift(M * fl(1/N) @ unlift(f)) for the step operator matrix M, by the row-
-    block loop of ``apply_shift``, whose result on the graph it equals bit
-    for bit."""
-    return lift(_scaled_matvec(step_operator_matrix(w), f.coeffs))
+    block loop of ``apply_shift`` on the graphon's cells, packed or not,
+    whose result on the graph it equals bit for bit."""
+    _require_grid(w)
+    return lift(_scaled_matvec(w.cells, f.coeffs))

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphonsp import homdensity
-from graphonsp.homdensity import (MAX_MOTIF_NODES, Motif, edge_motif,
+from graphonsp.homdensity import (HOM_MAX_NODES, MAX_MOTIF_NODES, Motif, edge_motif,
                                   hom_count, hom_density_graph,
                                   hom_density_graphon, path3_motif,
                                   triangle_motif)
 from graphonsp.kernels import Graphon, erdos_renyi, exp_sum, grid_graphon
-from graphonsp.sampling import MAX_NODES, Graph, sample_graph
+from graphonsp.sampling import Graph, sample_graph
 
 
 def brute_force_hom(motif, graph):
@@ -278,7 +278,7 @@ def contract_calls(monkeypatch):
 
 
 class TestModuli:
-    @pytest.mark.parametrize("n", [99, 800, MAX_NODES])
+    @pytest.mark.parametrize("n", [99, 800, HOM_MAX_NODES])
     def test_every_motif_shape_up_to_five_nodes(self, n, monkeypatch):
         calls = contract_calls(monkeypatch)
         g = Graph(adjacency=np.zeros((n, n), bool))
@@ -294,22 +294,22 @@ class TestModuli:
             # the isolated vertices stay outside the moduli's product
             total = n ** len({v for e in motif.edges for v in e})
             assert calls == ([None] if total < 2 ** 53 else check_moduli(n, total))
-        # x above MAX_NODES^2 entries: K5 (width 4) from N = 65, and from
+        # x above HOM_MAX_NODES^2 entries: K5 (width 4) from N = 65, and from
         # N = 257 the 8 shapes with a K4 minor (width 3)
-        assert refused == {99: 1, 800: 8, MAX_NODES: 8}[n]
+        assert refused == {99: 1, 800: 8, HOM_MAX_NODES: 8}[n]
 
-    @pytest.mark.parametrize("n", [99, 800, MAX_NODES])
+    @pytest.mark.parametrize("n", [99, 800, HOM_MAX_NODES])
     @pytest.mark.parametrize("motif", [path_motif(8), cycle_motif(8), star_motif(8)])
     def test_eight_node_path_cycle_and_star(self, motif, n, monkeypatch):
         calls = contract_calls(monkeypatch)
         hom_count(motif, Graph(adjacency=np.zeros((n, n), bool)))
         # moduli near 2^53 / N: two exceed N^8 up to N = 800, three at 4096
         assert calls == check_moduli(n, n ** 8)
-        assert len(calls) == (3 if n == MAX_NODES else 2)
+        assert len(calls) == (3 if n == HOM_MAX_NODES else 2)
 
     def test_complete_motif_without_exact_plan_fails_fast(self):
         # K4 needs an N^3-entry factor, K8 an N^7 one: both exceed
-        # MAX_NODES^2 here, and the guard fires before the float64 copy
+        # HOM_MAX_NODES^2 here, and the guard fires before the float64 copy
         for k, n in ((4, 300), (8, 120)):
             g = complete_graph(n)
             tracemalloc.start()
@@ -335,8 +335,8 @@ class TestPlan:
 
 
 class TestClosedFormsOnCompleteGraph:
-    # the largest case, MAX_NODES^8 = 2^96, passes 2^90
-    @pytest.mark.parametrize("n", [1, 2, 3, 99, 300, MAX_NODES])
+    # the largest case, HOM_MAX_NODES^8 = 2^96, passes 2^90
+    @pytest.mark.parametrize("n", [1, 2, 3, 99, 300, HOM_MAX_NODES])
     def test_paths(self, n):
         g = complete_graph(n)
         for k in range(1, MAX_MOTIF_NODES + 1):
@@ -381,6 +381,31 @@ class TestHomCountInput:
         adj[i, j] = False
         with pytest.raises(ValueError, match="Graph needs a symmetric adjacency"):
             Graph(adjacency=adj)
+
+    def test_graph_above_its_node_cap_refused_before_any_copy(self):
+        # the float64 adjacency would take 8 N^2 bytes: 2.1 GB at N=16384
+        g = sample_graph(erdos_renyi(0.0), HOM_MAX_NODES + 1, seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="above HOM_MAX_NODES = 4096"):
+                hom_count(edge_motif(), g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
+
+    def test_float64_adjacency_unpacked_without_a_boolean_copy(self):
+        # one 8 N^2 operand; a boolean N^2 copy beside it would add N^2 bytes
+        n = 1000
+        g = complete_graph(n)
+        tracemalloc.start()
+        try:
+            count = hom_count(path3_motif(), g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == n * (n - 1) ** 2
+        assert peak < 8 * n * n + n * n // 4
 
     def test_numpy_integer_node_count_does_not_wrap(self):
         # 300^8 wraps in int64
@@ -486,6 +511,21 @@ class TestHomDensityGraphon:
         for seed in (-1, 2 ** 64):
             with pytest.raises(ValueError, match="seed"):
                 hom_density_graphon(edge_motif(), erdos_renyi(0.5), 10, seed=seed)
+
+    def test_kernel_closure_called_once_per_edge_and_run(self, monkeypatch):
+        # the draws are range-checked once per run, so Graphon.eval and its
+        # per-edge checks and copies are never called
+        monkeypatch.setattr(Graphon, "eval", lambda *a: pytest.fail("eval called"))
+        calls = []
+
+        def half(x, y):
+            calls.append(x.shape)
+            return 0.5
+
+        est = hom_density_graphon(triangle_motif(), Graphon("half", half), 20_000, seed=1)
+        assert est.estimate == 0.125 and est.stderr == 0.0
+        # 20,000 samples in one batch: runs of 8192, 8192 and 3616 rows, three edges each
+        assert calls == [(8192,)] * 3 + [(8192,)] * 3 + [(3616,)] * 3
 
     def test_batch_seeds_are_spawned_as_each_batch_is_drawn(self, monkeypatch):
         # 20,000 batches: their child seeds held at once take ~8 MB, so the

@@ -274,9 +274,12 @@ class TestEmpiricalGraphon:
         np.testing.assert_array_equal(probs, g.adjacency.astype(float))
 
     def test_grid_is_a_read_only_view_of_the_adjacency(self):
+        # the cells are the graph's own packed rows; the grid unpacks them
         adj = np.array([[False, True], [True, False]])  # writeable
-        w = empirical_graphon(Graph(adjacency=adj))
-        assert w.grid.dtype == bool and np.shares_memory(w.grid, adj)
+        g = Graph(adjacency=adj)
+        w = empirical_graphon(g)
+        assert w.cells is g.packed and not w.cells.flags.writeable
+        assert w.grid.dtype == bool and np.array_equal(w.grid, adj)
         assert not w.grid.flags.writeable and adj.flags.writeable
 
     def test_no_float_copy_of_the_adjacency(self):

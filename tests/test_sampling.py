@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,29 @@ def reference_sample(w, n, seed, sorted_latent=True):
         draws = rng.random(iu.size)
         adj[iu, ju] = draws < probs
         adj |= adj.T
+    return adj, latent
+
+
+def reference_block_sample(w, n, seed, sorted_latent=True):
+    """The dense sampler that packed rows replaced: one boolean N x N array,
+    written a row block of ~2**16 pairs at a time with its mirror image."""
+    rng = np.random.default_rng(np.uint64(seed))
+    latent = rng.random(n)
+    if sorted_latent:
+        latent = np.sort(latent)
+    adj = np.zeros((n, n), dtype=bool)
+    r0 = 0
+    while r0 < n - 1:
+        width = n - 1 - r0
+        r1 = min(n - 1, r0 + max(1, 2 ** 16 // width))
+        probs = w.eval(latent[r0:r1, None], latent[None, r0 + 1:])
+        upper = np.arange(width) >= np.arange(r1 - r0)[:, None]
+        draws = np.full(probs.shape, np.inf)
+        draws[upper] = rng.random(np.count_nonzero(upper))
+        edges = draws < probs
+        adj[r0:r1, r0 + 1:] = edges
+        adj[r0 + 1:, r0:r1] |= edges.T
+        r0 = r1
     return adj, latent
 
 
@@ -173,9 +197,12 @@ class TestBitIdentity:
 
 class TestGraph:
     def test_holds_its_adjacency_and_latent_only(self):
+        # the adjacency is held as packed rows; each read unpacks a fresh copy
         g = sample_graph(exp_sum(0.5), 7, seed=2)
-        assert [f.name for f in dataclasses.fields(g)] == ["adjacency", "latent"]
+        assert [f.name for f in dataclasses.fields(g)] == ["packed", "latent"]
+        assert g.packed.dtype == np.uint8 and g.packed.shape == (7, 1)
         assert type(g.n) is int and g.n == g.adjacency.shape[0] == 7
+        assert g.adjacency is not g.adjacency and not g.adjacency.flags.writeable
 
     @pytest.mark.parametrize("adjacency", [
         np.zeros((0, 0), dtype=bool),
@@ -198,15 +225,123 @@ class TestGraph:
         path = tmp_path / "g.edges"
         graph_to_edgelist(expected, path)
 
-        def refuse(self):
+        def refuse(adjacency):
             raise AssertionError("Graph checked again")
 
-        monkeypatch.setattr(Graph, "__post_init__", refuse)
+        monkeypatch.setattr(sampling, "_check_simple", refuse)
         sampled = sample_graph(w, 300, seed=5)
         for g in (sampled, graph_from_edgelist(path)):
             assert type(g) is Graph and np.array_equal(g.adjacency, expected.adjacency)
             assert not g.adjacency.flags.writeable
         assert np.array_equal(sampled.latent, expected.latent)
+
+
+# around each byte boundary, around the one-block limit of 257 nodes, and
+# 2001, whose last shift block has one row
+PACK_SIZES = (1, 2, 7, 8, 9, 15, 16, 17, 255, 256, 257, 2001)
+
+
+def stored_bytes(g):
+    return sum(v.nbytes for v in vars(g).values() if isinstance(v, np.ndarray))
+
+
+def traced_peak(f):
+    """f() and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def graph_at_the_cap():
+    """An er:0.5 graph at MAX_NODES and the memory traced while sampling it."""
+    return traced_peak(lambda: sample_graph(erdos_renyi(0.5), MAX_NODES, seed=3))
+
+
+class TestPackedStorage:
+    """A graph is held as packed rows, one bit per node pair."""
+
+    @pytest.mark.parametrize("sorted_latent", [True, False])
+    @pytest.mark.parametrize("n", PACK_SIZES)
+    @pytest.mark.parametrize("kind", sorted(PIN_KERNELS))
+    def test_matches_the_dense_block_sampler(self, kind, n, sorted_latent):
+        w = PIN_KERNELS[kind]
+        g = sample_graph(w, n, seed=n + 5, sorted_latent=sorted_latent)
+        adj, latent = reference_block_sample(w, n, n + 5, sorted_latent)
+        assert np.array_equal(g.adjacency, adj)
+        assert g.latent.tobytes() == latent.tobytes()
+        assert np.array_equal(g.packed, np.packbits(adj, axis=1))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 100, 2001])
+    def test_stored_arrays_are_the_packed_rows_and_latent(self, n, tmp_path):
+        bound = n * ((n + 7) // 8) + 8 * n
+        g = sample_graph(sin_product(0.5, 0.5, 3.5), n, seed=n)
+        path = tmp_path / "g.edges"
+        graph_to_edgelist(g, path)
+        for h in (g, graph_from_edgelist(path), Graph(adjacency=g.adjacency)):
+            assert stored_bytes(h) <= bound
+            assert h.packed.shape == (n, (n + 7) // 8) and not h.packed.flags.writeable
+
+    def test_sampling_peak_at_4096_nodes(self):
+        # the dense array alone took 16.8 MB here, and sampling peaked at 18.4 MB
+        g, peak = traced_peak(lambda: sample_graph(erdos_renyi(0.5), 4096, seed=1))
+        assert peak <= 6e6 and stored_bytes(g) <= 4096 * 512 + 8 * 4096
+
+    def test_sampling_peak_at_the_node_cap(self, graph_at_the_cap):
+        # 32 MB of packed rows; a boolean matrix alone would take 268 MB
+        g, peak = graph_at_the_cap
+        assert MAX_NODES == 16384 and g.n == MAX_NODES
+        assert peak <= 48e6
+
+    def test_shift_at_the_node_cap_equals_the_dense_block_loop(self, graph_at_the_cap):
+        # 64 random rows, each from its own row block of S divided into a fresh array
+        g, _ = graph_at_the_cap
+        n = g.n
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(n)
+        got = apply_shift(g, x)
+        rows = max(8, sampling._SHIFT_BLOCK_ENTRIES // (8 * n) * 8)
+        for i in rng.choice(n, size=64, replace=False):
+            r0 = i // rows * rows
+            block = np.unpackbits(g.packed[r0:r0 + rows], axis=1, count=n).astype(bool)
+            want = np.matmul(np.divide(block, n, dtype=float), x)[i - r0]
+            assert got[i] == want
+
+    def test_adjacency_is_a_fresh_read_only_copy(self):
+        g = sample_graph(exp_sum(0.5), 9, seed=1)
+        a, b = g.adjacency, g.adjacency
+        assert a is not b and not np.shares_memory(a, b)
+        assert a.dtype == bool and not a.flags.writeable and np.array_equal(a, b)
+
+    def test_edge_count_counts_bits_without_bitwise_count(self, monkeypatch):
+        # np.bitwise_count needs numpy >= 2.0; the CI matrix holds numpy 1.25
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        for n in (1, 2, 9, 300):
+            g = sample_graph(sin_product(0.5, 0.5, 3.5), n, seed=n)
+            assert g.edge_count() == int(g.adjacency.sum()) // 2
+        assert sample_graph(erdos_renyi(1.0), 257, seed=0).edge_count() == 257 * 128
+
+    def test_edge_list_at_the_node_cap_is_read_and_written_from_bits(self, tmp_path,
+                                                                     monkeypatch):
+        # n 16384 is read into packed rows and written back one row at a time;
+        # neither reads the adjacency, which would unpack 268 MB
+        monkeypatch.setattr(Graph, "adjacency",
+                            property(lambda g: pytest.fail("adjacency unpacked")))
+        text = f"n {MAX_NODES}\n0 {MAX_NODES - 1}\n5 9\n8 16\n"
+        path, out = tmp_path / "big.edges", tmp_path / "back.edges"
+        path.write_text(text)
+        g, peak = traced_peak(lambda: graph_from_edgelist(path))
+        assert g.n == MAX_NODES and g.edge_count() == 3
+        assert peak <= 1.1 * MAX_NODES * MAX_NODES / 8
+        bit = lambda i, j: g.packed[i, j // 8] >> (7 - j % 8) & 1
+        for i, j in ((0, MAX_NODES - 1), (5, 9), (8, 16)):
+            assert bit(i, j) == bit(j, i) == 1
+        assert bit(0, 1) == bit(9, 8) == 0
+        graph_to_edgelist(g, out)
+        assert out.read_text() == text
 
 
 def shift_entries(g):
@@ -234,8 +369,8 @@ class TestScaledAdjacency:
     def test_entries_equal_a_over_n_and_no_float_matrix_kept(self):
         g = sample_graph(exp_sum(0.5), 60, seed=8)
         s = scaled_adjacency(g)
-        assert [f.name for f in dataclasses.fields(s)] == ["adjacency", "latent"]
-        assert s.adjacency is g.adjacency and type(s.n) is int and s.n == 60
+        assert [f.name for f in dataclasses.fields(s)] == ["packed", "latent"]
+        assert s.packed is g.packed and type(s.n) is int and s.n == 60
         # the latent positions are a float vector; no float matrix is kept,
         # nor is one built on request
         assert not any(isinstance(v, np.ndarray) and v.ndim == 2 and v.dtype.kind == "f"
