@@ -40,6 +40,14 @@ __all__ = [
 ]
 
 
+def _finite_vector(values, what: str) -> np.ndarray:
+    """``values`` as a float vector; ValueError unless nonempty, 1-D and finite."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1 or v.size < 1 or not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} must be a nonempty finite vector")
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class FilterCoeffs:
     """Polynomial filter taps; index k holds the coefficient of the k-th power."""
@@ -47,10 +55,7 @@ class FilterCoeffs:
     h: np.ndarray
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        if h.ndim != 1 or h.size < 1 or not np.all(np.isfinite(h)):
-            raise ValueError("filter coefficients must be a nonempty finite vector")
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "h", _finite_vector(self.h, "filter coefficients"))
 
     @property
     def order(self):
@@ -64,10 +69,7 @@ class IdealResponse:
     d: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.d, dtype=float)
-        if d.ndim != 1 or d.size < 1 or not np.all(np.isfinite(d)):
-            raise ValueError("ideal response must be a nonempty finite vector")
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d", _finite_vector(self.d, "ideal response"))
 
     def matrix(self):
         return np.diag(self.d)

@@ -74,8 +74,7 @@ class OperatorMatrix:
 
 
 # entries of K per row block of _galerkin, as in sampling.sample_graph, so
-# that the kernel closure's temporaries and Graphon.eval's float copy stay
-# block-sized instead of (p+1)^2
+# that the kernel closure's temporaries stay block-sized instead of (p+1)^2
 _BLOCK_ENTRIES = 2 ** 16
 
 
@@ -111,14 +110,14 @@ def _galerkin(w: Graphon, x: np.ndarray, left: np.ndarray,
     factors of ``_factors`` it is the corrected block, and the raw block
     when ``right`` is ``left``.
 
-    K is written a block of rows at a time; W is evaluated per entry, so the
-    blocks do not change its bits.
+    K is written a block of rows at a time from ``w.func``; W is evaluated
+    per entry, so the blocks do not change its bits.
     """
     m = x.shape[0]
     kernel = np.empty((m, m))
     rows = max(1, _BLOCK_ENTRIES // m)
     for r0 in range(0, m, rows):
-        kernel[r0:r0 + rows] = w.eval(x[r0:r0 + rows, None], x[None, :])
+        kernel[r0:r0 + rows] = w.func(x[r0:r0 + rows, None], x[None, :])
     return left.T @ kernel @ right
 
 

@@ -57,7 +57,9 @@ class Graphon:
     on the square.  ``cells`` keeps its square symmetric M x M float cells,
     or for an empirical graphon the graph's packed adjacency rows (uint8,
     M x ceil(M/8), one bit per cell), read-only, for ``steps``; ``grid``
-    reads them as an M x M matrix.
+    reads them as an M x M matrix.  ``eval`` is the checked public entry;
+    inside the library every kernel value comes from ``func`` on points the
+    caller made in [0, 1].
     """
 
     label: str
@@ -66,9 +68,8 @@ class Graphon:
 
     @property
     def grid(self):
-        """The M x M cells of a grid graphon, None for an analytic one: the
-        float cells themselves, or packed rows unpacked into a fresh
-        read-only boolean matrix."""
+        """The M x M cells of a grid graphon, None for an analytic one; see
+        ``_cells``."""
         return None if self.cells is None else _cells(self.cells)
 
     def eval(self, x, y):
@@ -128,14 +129,15 @@ def exp_distance(alpha: float) -> Graphon:
                    lambda x, y: np.exp(-alpha * np.abs(x - y)))
 
 
-def _cells(grid: np.ndarray) -> np.ndarray:
-    """The M x M cells of a grid: float cells as they are, and packed rows
-    unpacked into a fresh read-only boolean matrix."""
-    if grid.dtype != np.uint8:
-        return grid
-    cells = np.unpackbits(grid, axis=1, count=len(grid)).view(bool)
-    cells.flags.writeable = False
-    return cells
+def _cells(cells: np.ndarray, r0: int = 0, r1=None) -> np.ndarray:
+    """Rows r0..r1-1 of a grid's M x M cells, all of them by default: the
+    one reader of a grid's rows.  Float cells come back as a read-only view,
+    and packed rows unpacked into fresh read-only booleans, M per row."""
+    rows = cells[r0:r1]
+    if rows.dtype == np.uint8:
+        rows = np.unpackbits(rows, axis=1, count=len(cells)).view(bool)
+    rows.flags.writeable = False
+    return rows
 
 
 def _grid_graphon(grid: np.ndarray, label: str) -> Graphon:
@@ -188,9 +190,10 @@ def l2_distance(w1: Graphon, w2: Graphon, grid_side: int) -> float:
     if not (isinstance(grid_side, numbers.Integral) and grid_side >= 1):
         raise ValueError(f"grid_side must be an integer >= 1, got {grid_side!r}")
     mids = (np.arange(grid_side) + 0.5) / grid_side
-    x = mids[:, None]
-    y = mids[None, :]
-    diff = w1.eval(x, y) - w2.eval(x, y)
+    x, y = mids[:, None], mids[None, :]
+    # float, over the mesh: packed cells' closures give uint8, constant ones a float
+    diff = np.subtract(w1.func(x, y), w2.func(x, y), dtype=float,
+                       out=np.empty((grid_side, grid_side)))
     return float(math.sqrt(np.mean(diff ** 2)))
 
 

@@ -53,8 +53,8 @@ _BLOCK_ROWS = 64
 # float64 values of S per row block of apply_shift (256 KB)
 _SHIFT_BLOCK_ENTRIES = 2 ** 15
 
-# bits of packed rows unpacked per call in apply_shift, several row blocks
-# at a time, so that small unpacking calls do not dominate at small N
+# cells read per kernels._cells call in apply_shift, several row blocks at
+# a time, so that small unpacking calls do not dominate at small N
 _UNPACK_BITS = 2 ** 18
 
 _SYMMETRY_TILE = 256  # side of the tiles Graph compares with their mirror images
@@ -173,8 +173,6 @@ def sample_graph(w: Graphon, n: int, seed: int, sorted_latent: bool = True) -> G
         width = n - 1 - r0
         r1 = min(n, r0 + max(1, min(_BLOCK_ROWS, _BLOCK_PAIRS // max(width, 1))))
         k = r1 - r0
-        # the latent positions lie in [0, 1), so W's closure needs no range
-        # check; comparing its values as they are spares eval's float copy
         probs = w.func(latent[r0:r1, None], latent[None, r0 + 1:])
         upper = np.greater_equal(cols[:width], cols[:k, None],
                                  out=flags[:k * width].reshape(k, width))
@@ -215,8 +213,8 @@ def _scaled_matvec(m: np.ndarray, x) -> np.ndarray:
     N x ceil(N/8)) or a float N x N grid: A / N for a graph, within 1 ulp of
     it per entry for a float grid.  One reused buffer holds a row block of
     ~256 KB of S at a time: the one loop behind ``apply_shift`` and the step
-    operator.  Packed rows are unpacked ~2**18 bits at a time, whole row
-    blocks per call, so the blocks and the bits do not depend on it.
+    operator.  ``kernels._cells`` reads the rows ~2**18 cells at a time,
+    whole row blocks per call, so the blocks and the bits do not depend on it.
 
     Every block but the last has a multiple of 8 rows; the last holds the
     rows left over.  Measured with OpenBLAS 0.3.31 (numpy 2.4.6): the blocks
@@ -230,12 +228,11 @@ def _scaled_matvec(m: np.ndarray, x) -> np.ndarray:
     if x.shape != (n,):
         raise ValueError(f"signal length {x.shape} does not match operator size {n}")
     rows = max(8, _SHIFT_BLOCK_ENTRIES // (8 * n) * 8)
-    packed = m.dtype == np.uint8
-    span = rows * max(1, _UNPACK_BITS // (rows * n)) if packed else rows
+    span = rows * max(1, _UNPACK_BITS // (rows * n))
     block = np.empty((min(rows, n), n))
     out = np.empty(n)
     for s0 in range(0, n, span):
-        cells = np.unpackbits(m[s0:s0 + span], axis=1, count=n) if packed else m[s0:s0 + span]
+        cells = _cells(m, s0, s0 + span)
         for r0 in range(0, len(cells), rows):
             k = min(rows, len(cells) - r0)
             np.multiply(cells[r0:r0 + k], 1.0 / n, out=block[:k], dtype=float)
@@ -268,8 +265,7 @@ def graph_to_edgelist(g: Graph, path, latent_path=None) -> None:
     with fh:
         fh.write(f"n {g.n}\n")
         for i in range(g.n - 1):  # one write per row: its edges to j > i
-            row = np.unpackbits(g.packed[i], count=g.n).view(bool)
-            js = names[i + 1:][row[i + 1:]]
+            js = names[i + 1:][_cells(g.packed, i, i + 1)[0, i + 1:]]
             if js.size:
                 fh.write(f"{i} " + f"\n{i} ".join(js) + "\n")
     if latent_path is not None:

@@ -75,8 +75,8 @@ def step_operator_matrix(w: Graphon) -> np.ndarray:
     Entry (i, j) is the double integral of the kernel against b_i(x) b_j(y).
     Because the grid cells align with the strips the integral is a cell sum:
     value * (1/N^2) * N^2 = value: for an empirical graphon, the boolean
-    adjacency itself.  Returns a float grid's own read-only cells, not a
-    copy, and an empirical graphon's adjacency unpacked into a fresh
+    adjacency itself.  Returns a read-only view of a float grid's cells, not
+    a copy, and an empirical graphon's adjacency unpacked into a fresh
     read-only boolean matrix.
     """
     _require_grid(w)

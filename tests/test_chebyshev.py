@@ -91,6 +91,11 @@ class TestChebEval:
 
 
 class TestQuadrature:
+    @pytest.mark.parametrize("p", [0, -3])
+    def test_needs_at_least_one_panel(self, p):
+        with pytest.raises(ValueError, match="need at least one panel"):
+            QuadratureRule(p)
+
     def test_nodes_decreasing_from_one(self):
         rule = QuadratureRule(10)
         assert rule.nodes[0] == 1.0 and rule.nodes[-1] == -1.0
@@ -169,6 +174,12 @@ class TestProjection:
     def test_aliasing_guard(self):
         with pytest.raises(ValueError):
             project_signal(lambda u: u, 4, 6)
+
+
+class TestCoeffVector:
+    def test_length_is_the_coefficient_count(self):
+        assert len(ChebCoeffVector(np.zeros(6))) == 6
+        assert len(project_signal(lambda u: u, 10, 5)) == 5
 
 
 class TestResample:

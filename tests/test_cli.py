@@ -120,6 +120,17 @@ class TestDispatch:
         assert len(payload["h"]) == 6 and payload["h"][0] == 0.0
         assert payload["rank_used"] >= 1
 
+    def test_design_writes_the_frequency_response(self, tmp_path, capsys):
+        out = tmp_path / "response.csv"
+        code = dispatch(["design", "--graphon", "expsum:0.5", "--panels", "12",
+                         "--order", "4", "--ideal", "1,1,0,0,0",
+                         "--response-out", str(out)])
+        assert code == 0
+        h = filtering.FilterCoeffs(json.loads(capsys.readouterr().out)["h"])
+        op = galerkin.build_fg_shift(parse_graphon_spec("expsum:0.5"), 12, 5)
+        want = filtering.frequency_response(filtering.fg_filter_operator(op, h))
+        np.testing.assert_array_equal(np.loadtxt(out, delimiter=","), want)
+
     def test_design_rejects_svd_tol_outside_unit_interval(self, capsys):
         for tol in ("2", "0"):
             code = dispatch(["design", "--graphon", "er:0.5", "--order", "5",

@@ -90,6 +90,19 @@ class TestApplyGraphFilter:
             apply_graph_filter(scaled_adjacency(g), FilterCoeffs([2.0]), np.ones(6))
 
 
+class TestFilterCoeffs:
+    @pytest.mark.parametrize("h", [[], [[1.0, 0.0]], [0.5, np.nan], [np.inf, 1.0]],
+                             ids=["empty", "2-D", "nan", "inf"])
+    def test_taps_must_be_a_finite_vector(self, h):
+        with pytest.raises(ValueError,
+                           match="filter coefficients must be a nonempty finite vector"):
+            FilterCoeffs(h)
+
+    def test_taps_are_stored_as_floats(self):
+        h = FilterCoeffs([1, 0, 2])
+        assert h.h.dtype == float and h.order == 3
+
+
 class TestFgFilterOperator:
     def test_identity(self):
         op = operator_from_entries(np.diag([0.5, 0.2, 0.1]))
@@ -240,6 +253,11 @@ class TestFrequencyResponse:
     def test_diagonal(self):
         d = np.array([1.0, 5.0, 0.0, 2.0])
         np.testing.assert_array_equal(frequency_response(np.diag(d)), d)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (1, 2, 2)])
+    def test_non_square_matrix_refused(self, shape):
+        with pytest.raises(ValueError, match="frequency response requires a square matrix"):
+            frequency_response(np.ones(shape))
 
     def test_er_single_row(self):
         op = build_fg_shift(erdos_renyi(0.5), 10, 5)

@@ -74,6 +74,11 @@ class TestTildeW:
         raw = compute_tilde_w(exp_sum(0.5), 12, 8)
         np.testing.assert_allclose(raw.entries, raw.entries.T, atol=1e-12)
 
+    @pytest.mark.parametrize("pad", [0, -1])
+    def test_padded_size_must_be_positive(self, pad):
+        with pytest.raises(ValueError, match="padded size must be positive"):
+            compute_tilde_w(exp_sum(0.5), 10, pad)
+
     def test_unresolvable_degrees_are_zero_padding(self):
         # degrees above p fold onto lower ones under the p-panel rule, so
         # the padding region holds exact zeros rather than aliased values
@@ -143,26 +148,49 @@ class TestBuildFgShift:
         assert peak < 20 * 2 ** 20
 
 
+def dense_oracle_column(kernel, n, j):
+    """Column j of the shift operator by an independent rule: V[i,j] =
+    int int W((u+1)/2,(v+1)/2) c_{i-1}(u) w(u) c_{j-1}(v) dv du, by dense
+    theta-trapezoid (u, weighted) x Gauss-Legendre (v, plain), normalized as
+    the shift operator is."""
+    theta = (np.arange(4000) + 0.5) * np.pi / 4000
+    u = np.cos(theta)
+    v, wv = np.polynomial.legendre.leggauss(200)
+    inner = kernel.eval((u[:, None] + 1) / 2, (v[None, :] + 1) / 2) \
+        @ (wv * np.cos(j * np.arccos(v)))                       # dv integral
+    gammas = np.array([np.pi] + [np.pi / 2] * (n - 1))
+    outer = np.array([np.mean(inner * np.cos(i * theta)) * np.pi   # w(u) du
+                      for i in range(n)])
+    return outer / (2 * gammas)
+
+
+# (kernel, p, n): every column j < n of each is checked against the oracle
+ORACLE_CASES = [(exp_sum(0.5), 16, 5), (sin_product(0.5, 0.5, 3.5), 32, 8)]
+
+
+def oracle_columns(even):
+    """(kernel, p, n, j) over the oracle cases: the even columns j >= 2, or
+    column 0 and the odd columns."""
+    return [pytest.param(w, p, n, j, id=f"{w.label}-p{p}-n{n}-col{j}")
+            for w, p, n in ORACLE_CASES for j in range(n)
+            if (j >= 2 and j % 2 == 0) == even]
+
+
 class TestAgainstDenseQuadratureOracle:
-    def test_low_degree_columns_match_galerkin_integrals(self):
-        # oracle: V[i,j] = int int W((u+1)/2,(v+1)/2) c_{i-1}(u) w(u) c_{j-1}(v) dv du
-        # evaluated by dense theta-trapezoid (u, weighted) x Gauss-Legendre (v,
-        # plain), then normalized the same way as the shift operator; the
-        # degree-0 and degree-1 columns of the built operator must agree
-        n, p = 5, 16
-        kernel = exp_sum(0.5)
-        theta = (np.arange(4000) + 0.5) * np.pi / 4000
-        u = np.cos(theta)
-        v, wv = np.polynomial.legendre.leggauss(200)
-        K = kernel.eval((u[:, None] + 1) / 2, (v[None, :] + 1) / 2)
-        gammas = np.array([np.pi] + [np.pi / 2] * (n - 1))
+    @pytest.mark.parametrize("kernel, p, n, j", oracle_columns(even=False))
+    def test_low_degree_columns_match_galerkin_integrals(self, kernel, p, n, j):
+        # column 0 and every odd column agree with the oracle at every p
         op = build_fg_shift(kernel, p, n)
-        for j in (0, 1):
-            inner = K @ (wv * np.cos(j * np.arccos(v)))          # dv integral
-            for i in range(n):
-                outer = np.mean(inner * np.cos(i * theta)) * np.pi  # w(u) du
-                expected = outer / (2 * gammas[i])
-                assert abs(op.entries[i, j] - expected) < 1e-9
+        assert np.abs(op.entries[:, j] - dense_oracle_column(kernel, n, j)).max() < 1e-9
+
+    @pytest.mark.parametrize("kernel, p, n, j", oracle_columns(even=True))
+    @pytest.mark.xfail(strict=True, reason=(
+        "the weight correction's [k > 0] reflection rule drops the terms that "
+        "land on raw degree 0, so every even column d >= 2 misses the oracle "
+        "by 0.017-0.21 at every p (ROADMAP item 1)"))
+    def test_even_columns_miss_by_the_reflection_rule(self, kernel, p, n, j):
+        op = build_fg_shift(kernel, p, n)
+        assert np.abs(op.entries[:, j] - dense_oracle_column(kernel, n, j)).max() < 1e-9
 
 
 class TestAgainstReferenceLoop:

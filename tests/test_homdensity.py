@@ -463,6 +463,11 @@ class TestHomDensityGraphon:
                                   seed=1)
         assert abs(est.estimate - 0.125) <= max(3 * est.stderr, 1e-12)
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_needs_at_least_one_sample(self, samples):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            hom_density_graphon(edge_motif(), erdos_renyi(0.5), samples, seed=0)
+
     def test_zero_kernel_exact_zero(self):
         zero = grid_graphon(np.zeros((3, 3)), label="zero")
         est = hom_density_graphon(triangle_motif(), zero, 500, seed=2)
@@ -513,8 +518,8 @@ class TestHomDensityGraphon:
                 hom_density_graphon(edge_motif(), erdos_renyi(0.5), 10, seed=seed)
 
     def test_kernel_closure_called_once_per_edge_and_run(self, monkeypatch):
-        # the draws are range-checked once per run, so Graphon.eval and its
-        # per-edge checks and copies are never called
+        # each run's draws lie in [0, 1) and go to the closure as they are:
+        # Graphon.eval, with its range checks and float copies, is never called
         monkeypatch.setattr(Graphon, "eval", lambda *a: pytest.fail("eval called"))
         calls = []
 

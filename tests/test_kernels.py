@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -6,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphonsp.kernels import (Graphon, empirical_graphon, erdos_renyi,
+from graphonsp import galerkin
+from graphonsp.filtering import IdealResponse, filter_pipeline
+from graphonsp.galerkin import build_fg_shift, compute_tilde_w, fredholm_solve
+from graphonsp.homdensity import hom_density_graphon, triangle_motif
+from graphonsp.kernels import (Graphon, _cells, empirical_graphon, erdos_renyi,
                                exp_distance, exp_sum, grid_from_csv,
                                grid_graphon, grid_to_csv, l2_distance,
                                sin_product)
@@ -296,6 +301,56 @@ class TestEmpiricalGraphon:
         assert w.grid.dtype == bool
 
 
+class TestCells:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 2001])
+    def test_packed_rows_read_as_adjacency_rows(self, n):
+        g = sample_graph(erdos_renyi(0.5), n, seed=n)
+        adj = g.adjacency
+        for r0, r1 in [(0, None), (0, 1), (n - 1, n), (n // 3, 2 * n // 3 + 1),
+                       (min(8, n - 1), min(17, n)), (n, n)]:
+            rows = _cells(g.packed, r0, r1)
+            assert rows.dtype == bool and not rows.flags.writeable
+            np.testing.assert_array_equal(rows, adj[r0:r1])
+        np.testing.assert_array_equal(_cells(g.packed), adj)
+
+    def test_float_cells_come_back_as_a_read_only_view(self):
+        cells = np.arange(25.0).reshape(5, 5)  # writeable
+        rows = _cells(cells, 1, 4)
+        assert np.shares_memory(rows, cells) and not rows.flags.writeable
+        np.testing.assert_array_equal(rows, cells[1:4])
+        assert cells.flags.writeable
+        assert np.shares_memory(_cells(cells), cells)
+
+    def test_grid_reads_the_cells(self):
+        w = grid_graphon(np.full((3, 3), 0.25))
+        assert np.shares_memory(w.grid, w.cells) and not w.grid.flags.writeable
+
+
+class TestLibraryEvaluatesFunc:
+    def test_no_library_path_calls_eval(self, monkeypatch):
+        # every kernel value inside the library comes from func at points in
+        # [0, 1]; eval, with its checks and copies, is for callers only
+        monkeypatch.setattr(Graphon, "eval", lambda *a: pytest.fail("eval called"))
+        rng = np.random.default_rng(0)
+        cells = rng.random((6, 6))
+        graph = sample_graph(sin_product(0.5, 0.5, 3.5), 40, seed=1)
+        kernels = [erdos_renyi(0.5), exp_sum(0.5), sin_product(0.5, 0.5, 3.5),
+                   exp_distance(10), grid_graphon((cells + cells.T) / 2),
+                   empirical_graphon(graph)]
+        for w in kernels:
+            galerkin._shift.cache_clear()  # so that each build evaluates the kernel
+            assert np.all(np.isfinite(build_fg_shift(w, 12, 4).entries))
+            assert np.all(np.isfinite(compute_tilde_w(w, 12, 6).entries))
+            galerkin._shift.cache_clear()
+            assert np.all(np.isfinite(fredholm_solve(w, lambda t: t, 12, 4, 20)))
+            galerkin._shift.cache_clear()
+            filter_pipeline(w, lambda t: t, 3, IdealResponse([1, 0, 0, 0]), 12, 4, 20)
+            assert 0.0 <= l2_distance(w, kernels[-1], 9) <= 1.0
+            assert sample_graph(w, 30, seed=2).n == 30
+            est = hom_density_graphon(triangle_motif(), w, 500, seed=3)
+            assert 0.0 <= est.estimate <= 1.0
+
+
 class TestL2Distance:
     def test_identical_kernels(self):
         w = sin_product(0.5, 0.5, 3.5)
@@ -303,6 +358,22 @@ class TestL2Distance:
 
     def test_constant_difference(self):
         assert l2_distance(erdos_renyi(0.5), erdos_renyi(0.2), 100) == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("side", [1, 7, 100])
+    def test_constant_difference_is_averaged_over_the_mesh(self, side):
+        # the two closures return one float each; the mean is still taken
+        # over the side x side mesh, so the bits are the mesh's
+        mesh = np.full((side, side), 0.3 - 0.7)
+        assert l2_distance(erdos_renyi(0.3), erdos_renyi(0.7), side) == \
+            math.sqrt(np.mean(mesh ** 2))
+
+    def test_packed_cells_are_subtracted_as_floats(self):
+        # the closures of packed cells return uint8; 0 - 1 must be -1, not 255
+        g1 = sample_graph(erdos_renyi(0.5), 24, seed=1)
+        g2 = sample_graph(erdos_renyi(0.5), 24, seed=2)
+        want = math.sqrt(np.mean((g1.adjacency.astype(float) - g2.adjacency) ** 2))
+        assert l2_distance(empirical_graphon(g1), empirical_graphon(g2), 24) == want
+        assert 0.0 < want <= 1.0
 
     def test_symmetry_in_arguments(self):
         w1, w2 = exp_sum(0.5), exp_distance(2.0)

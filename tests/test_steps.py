@@ -47,6 +47,9 @@ class TestLiftUnlift:
     def test_singleton(self):
         np.testing.assert_array_equal(unlift(lift(np.array([5.0]))), [5.0])
 
+    def test_length_is_the_strip_count(self):
+        assert len(lift(np.zeros(7))) == 7
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             lift(np.array([]))
