@@ -50,7 +50,7 @@ import numpy as np
 from .chebyshev import (QuadratureRule, _check_basis_size, cheb_basis_matrix,
                         coefficient_normalizers, map_domain_inverse,
                         project_apply_resample)
-from .kernels import Graphon
+from .kernels import _BLOCK_VALUES, Graphon
 
 __all__ = [
     "OperatorMatrix",
@@ -71,11 +71,6 @@ class OperatorMatrix:
     @property
     def size(self):
         return self.entries.shape[0]
-
-
-# entries of K per row block of _galerkin, as in sampling.sample_graph, so
-# that the kernel closure's temporaries stay block-sized instead of (p+1)^2
-_BLOCK_ENTRIES = 2 ** 16
 
 
 @functools.lru_cache(maxsize=1)
@@ -110,12 +105,14 @@ def _galerkin(w: Graphon, x: np.ndarray, left: np.ndarray,
     factors of ``_factors`` it is the corrected block, and the raw block
     when ``right`` is ``left``.
 
-    K is written a block of rows at a time from ``w.func``; W is evaluated
-    per entry, so the blocks do not change its bits.
+    K is written a block of rows of ~``_BLOCK_VALUES`` entries at a time
+    from ``w.func``, so that the closure's temporaries stay block-sized
+    instead of (p+1)^2; W is evaluated per entry, so the blocks do not change
+    its bits.
     """
     m = x.shape[0]
     kernel = np.empty((m, m))
-    rows = max(1, _BLOCK_ENTRIES // m)
+    rows = max(1, _BLOCK_VALUES // m)
     for r0 in range(0, m, rows):
         kernel[r0:r0 + rows] = w.func(x[r0:r0 + rows, None], x[None, :])
     return left.T @ kernel @ right

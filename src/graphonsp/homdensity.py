@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .kernels import Graphon, _cells
+from .kernels import _BLOCK_VALUES, Graphon, _cells
 from .sampling import Graph, _coerce_seed
 
 __all__ = [
@@ -35,11 +35,13 @@ __all__ = [
 MAX_MOTIF_NODES = 8
 _MC_BATCH = 100_000
 
-# hom_count's node cap: its float64 adjacency takes 8 N^2 bytes (128 MB here)
+# hom_count's memory cap: it holds at most three float64 arrays of
+# HOM_MAX_NODES^2 entries (384 MiB), so it takes graphs up to this many nodes
 HOM_MAX_NODES = 4096
 
 # rows of motif-vertex draws per kernel evaluation in hom_density_graphon
-_MC_RUN = 8192
+# (8192), so that a run holds at most _BLOCK_VALUES draws
+_MC_RUN = _BLOCK_VALUES // MAX_MOTIF_NODES
 
 # float64 holds every integer below this exactly
 _EXACT = 2 ** 53
@@ -100,24 +102,26 @@ def hom_count(f: Motif, g: Graph) -> int:
     a product above N^K; the CRT joins the residues in Python integers.
 
     ``Graph`` has checked that the adjacency is symmetric with a zero
-    diagonal.  Raises ValueError before any copy of it if N exceeds
-    HOM_MAX_NODES, and before any contraction if x would hold more than
-    HOM_MAX_NODES^2 entries, the adjacency copy's size at N=HOM_MAX_NODES.
+    diagonal.  Memory: the float64 adjacency holds N^2 entries and x at most
+    N^width, and a step holds x, one ``np.einsum`` temporary of x's size and
+    the adjacency (measured with numpy 2.4.6, the 4-cycle's peak is
+    3 x 8 N^2 bytes and K4's 2 x 8 N^3).
+    So before any copy, ValueError if N^max(2, width) exceeds HOM_MAX_NODES^2:
+    the peak stays within three float64 arrays of HOM_MAX_NODES^2 entries,
+    384 MiB.  A motif without edges needs no array and returns N^K at any N.
     """
     n = g.n
-    if n > HOM_MAX_NODES:
-        raise ValueError(f"hom_count: N={n} is above HOM_MAX_NODES = {HOM_MAX_NODES}, "
-                         f"the node cap of its float64 adjacency")
     steps, width = _plan(f)
     isolated = n ** (f.k - len(steps))
     if not steps:
         return isolated
-    if n ** width > HOM_MAX_NODES ** 2:
-        raise ValueError(f"hom_count: this motif needs a factor of N^{width} = "
-                         f"{n ** width} entries at N={n}, above HOM_MAX_NODES^2")
+    if n ** max(2, width) > HOM_MAX_NODES ** 2:
+        raise ValueError(f"hom_count: at N={n} this motif needs float64 arrays of "
+                         f"N^{max(2, width)} = {n ** max(2, width)} entries, "
+                         f"above HOM_MAX_NODES^2 = {HOM_MAX_NODES ** 2}")
     # the float64 adjacency, read from the packed rows a block at a time
     a = np.empty((n, n))
-    rows = max(1, 2 ** 16 // n)
+    rows = max(1, _BLOCK_VALUES // n)
     for r0 in range(0, n, rows):
         a[r0:r0 + rows] = _cells(g.packed, r0, r0 + rows)
     total = n ** len(steps)
@@ -229,8 +233,9 @@ def hom_density_graphon(f: Motif, w: Graphon, samples: int,
     uniform K-tuples.  Samples are drawn in batches with derived seeds, so
     batches could run in parallel and merge; the sequential evaluation here
     keeps the estimate deterministic per seed.  A batch draws its K-tuples
-    as rows, in runs of up to 8192 rows that continue one row-major stream;
-    the draws lie in [0, 1), so each run goes to ``w.func`` unchecked.
+    as rows, in runs of up to ``_MC_RUN`` = 8192 rows that continue one
+    row-major stream; the draws lie in [0, 1), so each run goes to
+    ``w.func`` unchecked.
     Each batch's (count, mean, M2) is merged by Chan's pairwise update, so
     the variance never comes from the cancelling difference of two large
     sums.

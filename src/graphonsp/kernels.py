@@ -30,6 +30,12 @@ __all__ = [
 
 _FLOAT_MAX = np.finfo(float).max
 
+# values per block wherever an array is filled a block at a time: kernel
+# values in sample_graph and galerkin's K, draws in hom_density_graphon's
+# runs, float64 adjacency entries in hom_count; so that a block and the
+# closure's temporaries stay ~1 MB and in cache
+_BLOCK_VALUES = 2 ** 16
+
 
 def _cell_index(t, m: int):
     """Index of the cell holding t when [0, 1] is cut into m equal cells.
@@ -205,11 +211,17 @@ def grid_to_csv(w: Graphon, path) -> None:
 
 
 def grid_from_csv(path, label: str = "file") -> Graphon:
-    """Read a grid graphon from a dense headerless CSV.  Lines that hold only
-    whitespace before any '#' comment are skipped."""
+    """Read a grid graphon from a dense headerless CSV, skipping lines of
+    whitespace or comments only (``_read_csv``)."""
+    return grid_graphon(_read_csv(path, ndmin=2), label=label)
+
+
+def _read_csv(path, ndmin: int) -> np.ndarray:
+    """The numbers of a headerless CSV: the one reader of grid and latent
+    files.  Lines that hold only whitespace before any '#' comment are
+    skipped, so a file of nothing else gives an empty array, without numpy's
+    warning; its caller refuses that."""
     with open(path) as fh, warnings.catch_warnings():
-        # grid_graphon refuses an empty grid itself
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        grid = np.loadtxt((line for line in fh if line.partition("#")[0].strip()),
-                          delimiter=",", ndmin=2)
-    return grid_graphon(grid, label=label)
+        return np.loadtxt((line for line in fh if line.partition("#")[0].strip()),
+                          delimiter=",", ndmin=ndmin)

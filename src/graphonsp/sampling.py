@@ -6,10 +6,10 @@ N latent uniforms, then one uniform per node pair (i, j), i < j, in
 row-major order.  Identical (graphon, n, seed, sorted) inputs therefore
 yield bit-identical graphs.
 
-The pair draws are taken in row blocks of about 2**16 pairs, each block's
-kernel values evaluated at once.  A run of ``random`` calls on one PCG64
-generator yields the same doubles as a single call for their total, and W
-is evaluated per pair, so the blocks change neither the stream order nor
+The pair draws are taken in row blocks of at most 2**16 pairs and 64
+rows, each block's kernel values evaluated at once.  A run of ``random``
+calls on one PCG64 generator yields the same doubles as a single call for
+their total, and W is evaluated per pair, so the blocks change neither the stream order nor
 the graph: it is the one a single draw over all pairs gives.
 
 A graph is stored as packed rows, one bit per node pair: N x ceil(N/8)
@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import Graphon, _cells, _check_range
+from .kernels import _BLOCK_VALUES, Graphon, _cells, _check_range, _read_csv
 
 __all__ = [
     "Graph",
@@ -44,23 +44,18 @@ __all__ = [
 # S = A/N is never stored whole; the studies top out at N=2000
 MAX_NODES = 16384
 
-# pairs per row block of sample_graph, so that a block's kernel values and
-# draws (~1 MB) stay in cache, and rows per block at most, so that a block's
-# unpacked rows take at most 64 N bytes
-_BLOCK_PAIRS = 2 ** 16
+# rows per row block of sample_graph at most, beside its bound of
+# _BLOCK_VALUES pairs, so that a block's unpacked rows take at most 64 N bytes
 _BLOCK_ROWS = 64
 
 # float64 values of S per row block of apply_shift (256 KB)
 _SHIFT_BLOCK_ENTRIES = 2 ** 15
 
-# cells read per kernels._cells call in apply_shift, several row blocks at
-# a time, so that small unpacking calls do not dominate at small N
+# cells read per kernels._cells call in apply_shift and edge_count, several
+# rows at a time, so that small unpacking calls do not dominate at small N
 _UNPACK_BITS = 2 ** 18
 
 _SYMMETRY_TILE = 256  # side of the tiles Graph compares with their mirror images
-
-# the number of set bits in each byte value
-_BIT_COUNT = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
 
 
 def _check_simple(adj) -> None:
@@ -90,8 +85,11 @@ class Graph:
     the adjacency in the ``np.packbits`` layout (uint8, N x ceil(N/8), the
     bits past column N-1 zero), and ``latent``; N is the row count.
     ``adjacency`` unpacks a fresh read-only boolean N x N matrix on each
-    access.  ``latent`` holds the uniform samples used to generate the graph
-    (nondecreasing when sampled with sorting enabled).
+    access.  ``latent`` holds the node positions mu_i, the uniform samples
+    used to generate the graph (nondecreasing when sampled with sorting
+    enabled): a read-only float copy of the one given, which must hold N
+    finite values in [0, 1], or None.  ``_store`` is the one place that
+    sets the fields, for every way of building a graph.
     """
 
     packed: np.ndarray
@@ -99,7 +97,20 @@ class Graph:
 
     def __init__(self, adjacency: np.ndarray, latent: Optional[np.ndarray] = None):
         _check_simple(adjacency)
-        packed = np.packbits(adjacency, axis=1)
+        self._store(np.packbits(adjacency, axis=1), latent)
+
+    def _store(self, packed: np.ndarray, latent) -> None:
+        """Set the fields: ``packed`` made read-only, and ``latent`` stored as
+        a read-only float copy, ValueError unless it holds N finite values in
+        [0, 1]; None stays None."""
+        if latent is not None:
+            latent = np.array(latent, dtype=float)
+            if latent.shape != (len(packed),):
+                raise ValueError(f"expected {len(packed)} latent values, one per "
+                                 f"node, got shape {latent.shape}")
+            _check_range(latent, 0.0, 1.0,
+                         "latent values must be finite and lie in [0, 1]")
+            latent.flags.writeable = False
         packed.flags.writeable = False
         object.__setattr__(self, "packed", packed)
         object.__setattr__(self, "latent", latent)
@@ -115,21 +126,19 @@ class Graph:
 
     @classmethod
     def _built_simple(cls, packed: np.ndarray, latent) -> "Graph":
-        """A Graph of read-only packed rows that its builder made symmetric
-        with a zero diagonal, without the O(N^2) check.
+        """A Graph of packed rows that its builder made symmetric with a zero
+        diagonal, without the O(N^2) check; ``latent`` is checked as always.
 
         For ``sample_graph`` and ``graph_from_edgelist`` only, which write
         each edge and its mirror image together and never the diagonal.
         """
         g = object.__new__(cls)
-        object.__setattr__(g, "packed", packed)
-        object.__setattr__(g, "latent", latent)
+        g._store(packed, latent)
         return g
 
     def edge_count(self) -> int:
-        # each byte's set bits by table lookup, a block of rows at a time
-        rows = max(1, 2 ** 20 // self.packed.shape[1])
-        return sum(int(_BIT_COUNT[self.packed[r0:r0 + rows]].sum())
+        rows = max(1, _UNPACK_BITS // self.n)
+        return sum(np.count_nonzero(_cells(self.packed, r0, r0 + rows))
                    for r0 in range(0, self.n, rows)) // 2
 
 
@@ -161,7 +170,7 @@ def sample_graph(w: Graphon, n: int, seed: int, sorted_latent: bool = True) -> G
     # the kernel values.  Measured on glibc over one convergence and one
     # low-pass study in their 2-worker pool: blocks that allocate and free
     # these arrays page-fault ~33,000 times, one buffer ~6,000 times.
-    pairs = max(_BLOCK_PAIRS, n)  # a block's rows times its width is at most this
+    pairs = max(_BLOCK_VALUES, n)  # a block's rows times its width is at most this
     work = np.empty(2 * pairs + (pairs + _BLOCK_ROWS * n) // 8 + 1)
     flags = work[2 * pairs:].view(bool)
     cols = np.arange(n)
@@ -171,7 +180,7 @@ def sample_graph(w: Graphon, n: int, seed: int, sorted_latent: bool = True) -> G
         # form its upper triangle and take their draws in row-major order;
         # the cells below it (j <= i) get an infinite draw, never an edge.
         width = n - 1 - r0
-        r1 = min(n, r0 + max(1, min(_BLOCK_ROWS, _BLOCK_PAIRS // max(width, 1))))
+        r1 = min(n, r0 + max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // max(width, 1))))
         k = r1 - r0
         probs = w.func(latent[r0:r1, None], latent[None, r0 + 1:])
         upper = np.greater_equal(cols[:width], cols[:k, None],
@@ -190,8 +199,6 @@ def sample_graph(w: Graphon, n: int, seed: int, sorted_latent: bool = True) -> G
         rows[:, :r0] = above[:, r0 % 8:r0 % 8 + k].T
         packed[r0:r1] = np.packbits(rows, axis=1)
         r0 = r1
-    packed.flags.writeable = False
-    latent.flags.writeable = False
     return Graph._built_simple(packed, latent)
 
 
@@ -286,7 +293,8 @@ def graph_from_edgelist(path, latent_path=None) -> Graph:
     ValueError names the line of a malformed header, a node count outside
     1..MAX_NODES, a line that is not two integers, an index outside 0..n-1,
     a self-loop or a repeated edge.  It names the latent CSV when that file
-    does not hold exactly n finite values in [0, 1].
+    does not hold exactly n finite values in [0, 1], read as ``grid_from_csv``
+    reads a grid: lines of whitespace or comments only are skipped.
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -316,15 +324,9 @@ def graph_from_edgelist(path, latent_path=None) -> Graph:
                 raise ValueError(f"{path}:{lineno}: duplicate edge ({i}, {j})")
             bits[i * stride + (j >> 3)] |= 0x80 >> (j & 7)
             bits[j * stride + (i >> 3)] |= 0x80 >> (i & 7)
-    latent = None
-    if latent_path is not None:
-        latent = np.loadtxt(latent_path, delimiter=",", ndmin=1)
-        if latent.shape != (n,):
-            raise ValueError(f"{latent_path}: expected {n} latent values, one "
-                             f"per line, got shape {latent.shape}")
-        _check_range(latent, 0.0, 1.0,
-                     f"{latent_path}: latent values must be finite and lie in [0, 1]")
-        latent.flags.writeable = False
     packed = np.frombuffer(bits, dtype=np.uint8).reshape(n, stride)
-    packed.flags.writeable = False
-    return Graph._built_simple(packed, latent)
+    try:
+        latent = None if latent_path is None else _read_csv(latent_path, ndmin=1)
+        return Graph._built_simple(packed, latent)
+    except ValueError as exc:  # only the latent file can be at fault here
+        raise ValueError(f"{latent_path}: {exc}") from None

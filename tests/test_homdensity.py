@@ -334,6 +334,26 @@ class TestPlan:
         assert homdensity._plan(motif)[1] == 1
 
 
+class TestHomCountMemory:
+    """hom_count holds at most three float64 arrays of HOM_MAX_NODES^2
+    entries (384 MiB): x, one einsum temporary of x's size, and A."""
+
+    @pytest.mark.parametrize("motif, n, entries", [
+        (cycle_motif(4), 2048, lambda n: 3 * n * n),  # width 2: x = A^2 at N^2
+        (complete_motif(4), 256, lambda n: 2 * n ** 3 + n * n),  # width 3
+    ], ids=["cycle4", "K4"])
+    def test_peak_within_three_cap_sized_arrays(self, motif, n, entries):
+        g = complete_graph(n)
+        tracemalloc.start()
+        try:
+            count = hom_count(motif, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == {4: (n - 1) ** 4 + (n - 1), 6: math.perm(n, 4)}[len(motif.edges)]
+        assert peak <= 8 * entries(n) + 2 ** 20 <= 3 * 8 * HOM_MAX_NODES ** 2
+
+
 class TestClosedFormsOnCompleteGraph:
     # the largest case, HOM_MAX_NODES^8 = 2^96, passes 2^90
     @pytest.mark.parametrize("n", [1, 2, 3, 99, 300, HOM_MAX_NODES])
@@ -387,7 +407,7 @@ class TestHomCountInput:
         g = sample_graph(erdos_renyi(0.0), HOM_MAX_NODES + 1, seed=0)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="above HOM_MAX_NODES = 4096"):
+            with pytest.raises(ValueError, match=r"above HOM_MAX_NODES\^2 = 16777216"):
                 hom_count(edge_motif(), g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -406,6 +426,22 @@ class TestHomCountInput:
             tracemalloc.stop()
         assert count == n * (n - 1) ** 2
         assert peak < 8 * n * n + n * n // 4
+
+    def test_one_guard_refuses_every_motif_with_an_edge_above_the_node_cap(
+            self, monkeypatch):
+        # N^max(2, width) > HOM_MAX_NODES^2 for every motif with an edge here;
+        # a motif without one needs no array and counts N^K at any N
+        calls = contract_calls(monkeypatch)
+        n = HOM_MAX_NODES + 1
+        g = sample_graph(erdos_renyi(0.0), n, seed=0)
+        for motif in (m for k in range(1, 5) for m in all_motif_shapes(k)):
+            if not motif.edges:
+                assert hom_count(motif, g) == n ** motif.k
+                continue
+            with pytest.raises(ValueError, match=r"above HOM_MAX_NODES\^2"):
+                hom_count(motif, g)
+        assert hom_count(Motif(MAX_MOTIF_NODES, ()), g) == n ** MAX_MOTIF_NODES
+        assert not calls
 
     def test_numpy_integer_node_count_does_not_wrap(self):
         # 300^8 wraps in int64

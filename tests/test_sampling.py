@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -178,7 +179,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("block", [1, 5, 16, 100])
     def test_any_block_size_gives_the_same_graph(self, monkeypatch, block):
-        monkeypatch.setattr(sampling, "_BLOCK_PAIRS", block)
+        monkeypatch.setattr(sampling, "_BLOCK_VALUES", block)
         w = PIN_KERNELS["sinprod"]
         for n in (2, 3, 11, 17, 40):
             for sorted_latent in (True, False):
@@ -216,6 +217,31 @@ class TestGraph:
     def test_rejects_anything_but_a_nonempty_square_boolean_array(self, adjacency):
         with pytest.raises(ValueError, match="nonempty square boolean adjacency"):
             Graph(adjacency=adjacency)
+
+    @pytest.mark.parametrize("latent, message", [
+        ([0.1, 0.2], "expected 3 latent values"),
+        ([0.1, 0.2, 0.3, 0.4], "expected 3 latent values"),
+        ([[0.1, 0.2, 0.3]], "expected 3 latent values"),
+        (0.5, "expected 3 latent values"),
+        ([0.1, np.nan, 0.3], "finite"),
+        ([0.1, np.inf, 0.3], "finite"),
+        ([0.1, 1.5, 0.3], r"lie in \[0, 1\]"),
+        ([-0.1, 0.2, 0.3], r"lie in \[0, 1\]"),
+    ], ids=["short", "long", "2d", "scalar", "nan", "inf", "above", "below"])
+    def test_rejects_a_latent_that_is_not_n_positions_in_the_unit_interval(
+            self, latent, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(adjacency=~np.eye(3, dtype=bool), latent=latent)
+
+    def test_keeps_a_read_only_float_copy_of_the_latent(self):
+        latent = np.array([0.25, 0.5, 0.75])
+        g = Graph(adjacency=~np.eye(3, dtype=bool), latent=latent)
+        assert not g.latent.flags.writeable and not np.shares_memory(g.latent, latent)
+        latent[0] = 0.0
+        assert g.latent.tolist() == [0.25, 0.5, 0.75]
+        g = Graph(adjacency=~np.eye(2, dtype=bool), latent=[0, 1])
+        assert g.latent.dtype == float and g.latent.tolist() == [0.0, 1.0]
+        assert Graph(adjacency=~np.eye(2, dtype=bool)).latent is None
 
     def test_sampler_and_reader_skip_the_symmetry_check(self, monkeypatch, tmp_path):
         # both build the adjacency symmetric and loop-free, so neither pays
@@ -571,6 +597,43 @@ class TestEdgelistIO:
         path.write_text(text)
         with pytest.raises(ValueError, match=message):
             graph_from_edgelist(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 25).flatmap(lambda n: st.tuples(
+        st.lists(st.booleans(), min_size=n * n, max_size=n * n)
+        .map(lambda bits: np.array(bits).reshape(n, n)),
+        st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))))
+    def test_roundtrip_with_latent_property(self, tmp_path_factory, graph):
+        # every graph with valid latent positions is written as files that
+        # read back to it
+        bits, latent = graph
+        adj = np.triu(bits, k=1)
+        g = Graph(adjacency=adj | adj.T, latent=latent)
+        folder = tmp_path_factory.mktemp("edges")
+        graph_to_edgelist(g, folder / "g.edges", latent_path=folder / "latent.csv")
+        back = graph_from_edgelist(folder / "g.edges", latent_path=folder / "latent.csv")
+        assert np.array_equal(back.packed, g.packed)
+        assert back.latent.tobytes() == g.latent.tobytes()
+
+    @pytest.mark.parametrize("latent", ["", "# no values\n\n   \n"],
+                             ids=["empty", "comments"])
+    def test_latent_file_without_values_raises_only_a_value_error(self, tmp_path,
+                                                                  latent):
+        path, lpath = tmp_path / "g.edges", tmp_path / "latent.csv"
+        path.write_text("n 3\n0 1\n")
+        lpath.write_text(latent)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=r"latent\.csv: expected 3 latent values"):
+                graph_from_edgelist(path, latent_path=lpath)
+        assert caught == []
+
+    def test_latent_file_skips_comments_and_blank_lines(self, tmp_path):
+        path, lpath = tmp_path / "g.edges", tmp_path / "latent.csv"
+        path.write_text("n 3\n0 1\n")
+        lpath.write_text("# positions\n0.25\n\n  \n0.5  # middle\n   # note\n0.75\n")
+        assert graph_from_edgelist(path, latent_path=lpath).latent.tolist() == [
+            0.25, 0.5, 0.75]
 
     def test_single_node_roundtrip_keeps_latent_1d(self, tmp_path):
         g = sample_graph(exp_sum(0.5), 1, seed=4)
