@@ -42,7 +42,6 @@ p, n), so that ``build_fg_shift``, ``fredholm_solve`` and
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,18 +191,16 @@ def fredholm_solve(w: Graphon, f, p: int, n: int, t_points: int) -> np.ndarray:
 
 
 def resolvent_eigs(o: OperatorMatrix) -> np.ndarray:
-    """Eigenvalue estimates of the finite operator, |lambda| descending.
+    """The eigenvalues of the operator matrix M itself, |lambda| descending
+    (a stable sort, so ties keep numpy's order).
 
-    Computed on the symmetric part (O + O^T)/2 since the continuous
-    operator is self-adjoint; finite quadrature and the coefficient
-    normalization can break matrix symmetry, which is reported.
+    They are the eigenvalues of the Gram-metric problem G M v = lambda G v
+    for any invertible Gram matrix G, so no metric is needed for them.  M
+    need not be symmetric, and the result is complex wherever M has complex
+    eigenvalues: the default operator of ``expdist:10`` does, one symptom of
+    the even-column bias of the weight correction.
     """
-    m = o.entries
-    asym = float(np.abs(m - m.T).max())
-    if asym > 1e-8:
-        warnings.warn(f"operator asymmetry {asym:.3e}; eigenvalues are taken "
-                      "from the symmetrized part", stacklevel=2)
-    eigs = np.linalg.eigvalsh((m + m.T) / 2.0)
+    eigs = np.linalg.eigvals(o.entries)
     return eigs[np.argsort(-np.abs(eigs), kind="stable")]
 
 

@@ -92,6 +92,13 @@ class TestDispatch:
         assert "error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_sample_edge_list_and_latent_in_one_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "same.txt"
+        assert dispatch(["sample", "--graphon", "er:0.5", "--n", "3", "--out", str(out),
+                         "--latent-out", str(out)]) == 2
+        assert "name the same file" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_sample_reproducible(self, tmp_path):
         a, b = tmp_path / "a.edges", tmp_path / "b.edges"
         dispatch(["sample", "--graphon", "er:0.3", "--n", "50", "--seed", "9",
@@ -148,12 +155,15 @@ class TestDispatch:
         assert entries[0, 0] == pytest.approx(0.5, abs=1e-9)
 
     def test_homdensity_json(self, capsys):
-        code = dispatch(["homdensity", "--motif", "triangle", "--graphon",
-                         "er:0.5", "--samples", "1000", "--seed", "1"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["estimate"] == pytest.approx(0.125)
-        assert payload["samples"] == 1000
+        # every kernel value of ER(0.5) is 0.5, so each sample is 0.5^|E|
+        for motif, flags, want in (("triangle", ["--seed", "1"], 0.125),
+                                   ("custom:0-1,1-2,2-3,3-0", [], 0.0625)):
+            code = dispatch(["homdensity", "--motif", motif, "--graphon",
+                             "er:0.5", "--samples", "1000", *flags])
+            assert code == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["estimate"] == pytest.approx(want)
+            assert payload["samples"] == 1000
 
     def test_homdensity_single_sample_is_strict_json(self, capsys):
         def reject(constant):
@@ -181,10 +191,28 @@ class TestDispatch:
         assert (tmp_path / "lowpass.csv").exists()
         assert list(tmp_path.glob("lowpass_*_curves.csv"))
 
+    def test_fg_operator_reads_a_grid_csv(self, tmp_path):
+        grid, out = tmp_path / "grid.csv", tmp_path / "grid-op.csv"
+        grid.write_text("0.2,0.7\n0.7,0.9\n")
+        assert dispatch(["fg-operator", "--graphon", f"file:{grid}",
+                         "--out", str(out)]) == 0
+        assert np.loadtxt(out, delimiter=",").shape == (5, 5)
+
+    def test_fg_operator_bad_graphon_exits_2_leaving_no_file(self, tmp_path, capsys):
+        # a non-square grid and a spec of the wrong arity
+        grid = tmp_path / "grid23.csv"
+        grid.write_text("0.2,0.7,0.1\n0.7,0.9,0.3\n")
+        for spec in (f"file:{grid}", "er:0.5,0.3"):
+            assert dispatch(["fg-operator", "--graphon", spec,
+                             "--out", str(tmp_path / "op.csv")]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [grid]
+
     def test_validation_failures_exit_2(self, tmp_path, capsys):
-        assert dispatch(["sample", "--graphon", "er:2.0", "--n", "10",
-                         "--out", str(tmp_path / "g.edges")]) == 2
-        assert "error" in capsys.readouterr().err
+        for graphon, n in (("er:2.0", "10"), ("er:0.5", "0")):
+            assert dispatch(["sample", "--graphon", graphon, "--n", n,
+                             "--out", str(tmp_path / "g.edges")]) == 2
+            assert "error" in capsys.readouterr().err
         assert dispatch(["solve", "--graphon", "er:0.5", "--panels", "4",
                          "--basis", "9", "--input", "y",
                          "--out", str(tmp_path / "s.csv")]) == 2
@@ -192,6 +220,7 @@ class TestDispatch:
         assert dispatch(["design", "--graphon", "er:0.5", "--order", "3",
                          "--ideal", "1,0,0", "--basis", "5"]) == 2
         assert "unrecognized arguments: --basis 5" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_basis_below_one_exits_2(self, tmp_path, capsys):
         commands = {
@@ -254,11 +283,12 @@ class TestDispatch:
         assert not out.exists()
 
     def test_repeated_seed_exits_2(self, tmp_path, capsys):
-        args = {"convergence": ["--n-values", "20,40", "--seeds", "1,1"],
-                "lowpass": ["--n", "10", "--seeds", "0,0"],
-                "consensus": ["--n", "10", "--seeds", "0,0"]}
-        for study, flags in args.items():
-            out = tmp_path / study
+        args = [("convergence", ["--n-values", "20,40", "--seeds", "1,1"]),
+                ("convergence", ["--n-values", "10", "--seeds", "1,1"]),
+                ("lowpass", ["--n", "10", "--seeds", "0,0"]),
+                ("consensus", ["--n", "10", "--seeds", "0,0"])]
+        for i, (study, flags) in enumerate(args):
+            out = tmp_path / f"{study}{i}"
             assert dispatch([f"experiment:{study}", "--graphon", "er:0.5", *flags,
                              "--out-dir", str(out)]) == 2
             assert "error: seeds must be distinct" in capsys.readouterr().err
@@ -302,11 +332,12 @@ class TestDispatch:
             assert "'<i>-<j>'" in err and "Traceback" not in err
 
     def test_oversized_custom_motif_exits_2(self, capsys):
-        assert dispatch(["homdensity", "--motif", "custom:0-8", "--graphon", "er:0.5",
-                         "--samples", "10"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: motif needs 1..8 nodes, got 9")
-        assert "Traceback" not in err
+        for samples in ([], ["--samples", "10"]):
+            assert dispatch(["homdensity", "--motif", "custom:0-8", "--graphon",
+                             "er:0.5", *samples]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: motif needs 1..8 nodes, got 9")
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("spec", ["expsum:nan", "sinprod:0.5,0.5,1e308"])
     def test_non_finite_graphon_spec_exits_2(self, tmp_path, capsys, spec):

@@ -9,6 +9,7 @@ from graphonsp.filtering import (FilterCoeffs, IdealResponse, apply_graph_filter
                                  filter_pipeline, frequency_response,
                                  truncated_svd_pinv)
 from graphonsp.galerkin import build_fg_shift, OperatorMatrix
+from graphonsp.homdensity import Motif, hom_density_graph
 from graphonsp.kernels import erdos_renyi, exp_distance, exp_sum, sin_product
 from graphonsp.sampling import apply_shift, sample_graph, scaled_adjacency
 
@@ -80,6 +81,22 @@ class TestApplyGraphFilter:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2 ** 20
+
+    @pytest.mark.parametrize("sorted_latent", [True, False])
+    @pytest.mark.parametrize("n", [50, 300])
+    @pytest.mark.parametrize("w", [erdos_renyi(0.5), sin_product(0.5, 0.5, 3.5),
+                                   exp_sum(0.5), exp_distance(10.0)],
+                             ids=lambda w: w.label)
+    def test_mean_response_to_ones_is_a_sum_of_path_densities(self, w, n,
+                                                              sorted_latent):
+        # walk identity: mean(S^k 1) = t(P_k, G), P_k the path with k edges;
+        # at N=300 the 8-node path's count is past 2^53, so it takes the CRT
+        g = sample_graph(w, n, seed=4, sorted_latent=sorted_latent)
+        h = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2]
+        paths = [Motif(k + 1, tuple((i, i + 1) for i in range(k))) for k in range(8)]
+        want = sum(hk * hom_density_graph(pk, g) for hk, pk in zip(h, paths))
+        got = apply_graph_filter(g, FilterCoeffs(h), np.ones(n)).mean()
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_dimension_mismatch(self):
         g = sample_graph(erdos_renyi(0.5), 5, seed=0)

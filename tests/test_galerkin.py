@@ -10,7 +10,8 @@ from graphonsp import galerkin
 from graphonsp.chebyshev import (QuadratureRule, cheb_basis_matrix,
                                  coefficient_normalizers, map_domain_inverse)
 from graphonsp.cli import parse_graphon_spec
-from graphonsp.filtering import IdealResponse, filter_pipeline
+from graphonsp.filtering import (FilterCoeffs, IdealResponse, fg_filter_operator,
+                                 filter_pipeline)
 from graphonsp.galerkin import (_factors, _galerkin, _weight_correction,
                                 build_fg_shift, compute_tilde_w, fredholm_solve,
                                 operator_to_csv, resolvent_eigs)
@@ -486,10 +487,25 @@ class TestResolventEigs:
         eigs = resolvent_eigs(build_fg_shift(ZERO, 10, 5))
         np.testing.assert_array_equal(eigs, np.zeros(5))
 
-    def test_asymmetry_warning_for_smooth_kernel(self):
-        op = build_fg_shift(exp_sum(0.5), 10, 5)
-        with pytest.warns(UserWarning):
-            resolvent_eigs(op)
+    @pytest.mark.parametrize("p, n", [(10, 5), (64, 16), (1000, 100)])
+    def test_rank_one_kernel_has_one_eigenvalue_the_trace(self, p, n):
+        # exp_sum is rank 1, and so is its operator: its one nonzero
+        # eigenvalue is tr M, with no symmetrised stand-in beside it
+        op = build_fg_shift(exp_sum(0.5), p, n)
+        eigs = resolvent_eigs(op)
+        live = eigs[np.abs(eigs) > 1e-12]
+        assert live.shape == (1,)
+        assert abs(live[0] - np.trace(op.entries)) < 1e-12
+
+    def test_filter_operator_has_the_mapped_eigenvalues(self):
+        # spectral mapping: the eigenvalues of h(M) are h(lambda)
+        op = build_fg_shift(sin_product(0.5, 0.5, 3.5), 32, 8)
+        h = FilterCoeffs([0.1, 0.5, 0.3, 0.2])
+        lam = resolvent_eigs(op)
+        mapped = np.polynomial.polynomial.polyval(lam, h.h)
+        got = np.linalg.eigvals(fg_filter_operator(op, h))
+        np.testing.assert_allclose(np.sort_complex(got), np.sort_complex(mapped),
+                                   rtol=0, atol=1e-12)
 
     def test_scaled_adjacency_route(self):
         # classical spectral convergence: the leading eigenvalue of S for

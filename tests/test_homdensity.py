@@ -215,14 +215,17 @@ class TestHomCount:
             mp.setattr(homdensity, "_moduli", lambda n, total: SMALL_MODULI)
             assert hom_count(motif, g) == brute_force_hom(motif, g)
 
-    def test_cycle8_on_random_graph_matches_int64_trace(self):
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_cycle_on_random_graph_matches_int64_trace(self, k):
+        # hom(C_k, G) = tr A^k; C6 and C7 are past the brute-force tests' reach
         g = sample_graph(erdos_renyi(0.9), 120, seed=3)
-        assert 2 ** 55 < 120 ** 8 < 2 ** 56
-        a4 = np.linalg.matrix_power(g.adjacency.astype(np.int64), 4)
-        # entries of A^4 are <= 120^3, of A^4 A^4 <= 120^7, the trace <= 120^8
-        want = int(np.trace(a4 @ a4))
-        assert want > 2 ** 53
-        assert hom_count(cycle_motif(8), g) == want
+        # entries of A^k are <= 120^(k-1), the trace <= 120^k < 2^63
+        ak = np.linalg.matrix_power(g.adjacency.astype(np.int64), k)
+        want = int(np.trace(ak))
+        if k == 8:
+            assert 2 ** 55 < 120 ** 8 < 2 ** 56
+            assert want > 2 ** 53
+        assert hom_count(cycle_motif(k), g) == want
 
 
 def star_motif(k):
