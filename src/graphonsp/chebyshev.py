@@ -17,6 +17,7 @@ from int c_k^2 / sqrt(1-u^2); projection divides them out.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,6 +112,28 @@ def _check_basis_size(p: int, n: int) -> None:
                          "need n <= p+1")
 
 
+@functools.lru_cache(maxsize=1)
+def _projector(p: int, n: int):
+    """The p-panel ``QuadratureRule`` and its basis matrix at degrees
+    0..n-1, read-only.  One entry is kept, (p+1)(n+2) * 8 bytes (0.8 MB at
+    p=1000, n=100): a Fredholm solve and a filter pipeline at one (p, n)
+    project with the same pair."""
+    rule = QuadratureRule(p)
+    basis = cheb_basis_matrix(rule.nodes, n)
+    basis.flags.writeable = False
+    return rule, basis
+
+
+@functools.lru_cache(maxsize=1)
+def _resampler(t_points: int, n: int):
+    """The read-only basis matrix at degrees 0..n-1 on t_points uniform
+    points of [-1, 1].  One entry is kept, t_points * n * 8 bytes (160 kB
+    at t_points=200, n=100)."""
+    basis = cheb_basis_matrix(np.linspace(-1.0, 1.0, t_points), n)
+    basis.flags.writeable = False
+    return basis
+
+
 def project_signal(f, p: int, n_basis: int) -> ChebCoeffVector:
     """Project a function on [-1,1] onto the first n_basis Chebyshev polynomials.
 
@@ -119,8 +142,7 @@ def project_signal(f, p: int, n_basis: int) -> ChebCoeffVector:
     of degree < n_basis once p is large enough to resolve them.
     """
     _check_basis_size(p, n_basis)
-    rule = QuadratureRule(p)
-    basis = cheb_basis_matrix(rule.nodes, n_basis)
+    rule, basis = _projector(p, n_basis)
     raw = basis.T @ (rule.weights * np.asarray(f(rule.nodes), dtype=float))
     return ChebCoeffVector(coeffs=raw / coefficient_normalizers(n_basis))
 
@@ -130,8 +152,7 @@ def resample(g, t_points: int) -> np.ndarray:
     if t_points < 2:
         raise ValueError("need at least two resample points")
     coeffs = g.coeffs if isinstance(g, ChebCoeffVector) else np.asarray(g, dtype=float)
-    u = np.linspace(-1.0, 1.0, t_points)
-    return cheb_basis_matrix(u, len(coeffs)) @ coeffs
+    return _resampler(t_points, len(coeffs)) @ coeffs
 
 
 def project_apply_resample(matrix: np.ndarray, f, p: int, t_points: int) -> np.ndarray:

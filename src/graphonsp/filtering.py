@@ -18,6 +18,7 @@ directly with the k-from-zero filter conventions below.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,12 +96,34 @@ def apply_graph_filter(g: Graph, h: FilterCoeffs, x: np.ndarray) -> np.ndarray:
     return y
 
 
+# orders up to this are allowed at every basis size: experiments.DESIGN_ORDERS
+# sweeps 1..8, also at basis sizes 1 and 2
+_ORDER_FLOOR = 8
+
+
 def _powers(w_op: OperatorMatrix):
-    """W^0 = I, W^1, W^2, ...: each power is the one before times W."""
-    power = np.eye(w_op.size)
-    while True:
+    """W^0 = I, W^1, W^2, ...: each power is the one before times W.
+
+    W^0..W^_ORDER_FLOOR are memoized, read-only, in ``w_op._power_memo``,
+    at most 9 n^2 * 8 bytes (720 kB at n=100), so the design studies' orders
+    and the filter built from the chosen design share their products.  The
+    memo grows by swapping in a longer tuple, never by writing into one, so
+    concurrent callers on one operator may form a power twice, or drop one
+    another's, but every memo they read holds W^0..W^k in order.  Higher
+    powers are formed per call and dropped.
+    """
+    for k in itertools.count():
+        memo = w_op._power_memo
+        if k < len(memo):
+            power = memo[k]
+        else:
+            power = np.eye(w_op.size) if k == 0 else power @ w_op.entries
+            if k <= _ORDER_FLOOR:
+                power.flags.writeable = False
+                memo = w_op._power_memo  # reread: the product released the GIL
+                if len(memo) == k:
+                    object.__setattr__(w_op, "_power_memo", memo + (power,))
         yield power
-        power = power @ w_op.entries
 
 
 def fg_filter_operator(w_op: OperatorMatrix, h: FilterCoeffs) -> np.ndarray:
@@ -127,11 +150,6 @@ def truncated_svd_pinv(a: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
     return _truncated_svd_solve(a, np.eye(len(np.atleast_2d(a))), rel_tol)[0]
 
 
-# orders up to this are allowed at every basis size: experiments.DESIGN_ORDERS
-# sweeps 1..8, also at basis sizes 1 and 2
-_ORDER_FLOOR = 8
-
-
 def design_filter(w_op: OperatorMatrix, order: int, d: IdealResponse,
                   rel_tol: float = 1e-8) -> DesignResult:
     """Least-squares fit of the filter polynomial to the ideal response.
@@ -154,8 +172,11 @@ def design_filter(w_op: OperatorMatrix, order: int, d: IdealResponse,
     if len(d.d) != w_op.size:
         raise ValueError(f"ideal response length {len(d.d)} does not match "
                          f"operator size {w_op.size}")
-    powers = [p.reshape(-1) for _, p in zip(range(order + 1), _powers(w_op))]
-    cols = np.stack(powers[1:], axis=1)  # vec(W^1) .. vec(W^order)
+    cols = np.empty((w_op.size ** 2, order))  # vec(W^1) .. vec(W^order)
+    powers = _powers(w_op)
+    next(powers)  # W^0 is not a column
+    for k, power in zip(range(order), powers):
+        cols[:, k] = power.reshape(-1)
     b = d.matrix().reshape(-1)
     h_tail, rank = _truncated_svd_solve(cols, b, rel_tol)
     residual = float(np.linalg.norm(cols @ h_tail - b))

@@ -42,7 +42,7 @@ p, n), so that ``build_fg_shift``, ``fredholm_solve`` and
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,9 +63,29 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Square operator matrix in the Chebyshev basis."""
+    """Square operator matrix in the Chebyshev basis.
+
+    ``entries`` is kept as given when it is a read-only float64 array that
+    owns its data (``build_fg_shift``'s, shared with ``_shift``); anything
+    else is stored as a read-only float copy, so that no caller can change
+    the values under the powers ``filtering`` memoizes in ``_power_memo``.
+    ValueError unless the entries form a nonempty square matrix; non-finite
+    values are kept.
+    """
 
     entries: np.ndarray
+    _power_memo: tuple = field(default=(), init=False, repr=False)
+
+    def __post_init__(self):
+        entries = self.entries
+        if not (type(entries) is np.ndarray and entries.dtype == np.float64
+                and entries.base is None and not entries.flags.writeable):
+            entries = np.array(entries, dtype=float)
+            entries.flags.writeable = False
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.size == 0:
+            raise ValueError("operator entries must form a nonempty square matrix, "
+                             f"got shape {entries.shape}")
+        object.__setattr__(self, "entries", entries)
 
     @property
     def size(self):

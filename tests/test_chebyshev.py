@@ -3,10 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from graphonsp.chebyshev import (ChebCoeffVector, QuadratureRule,
-                                 cheb_basis_matrix, cheb_eval,
-                                 map_domain_inverse, project_signal,
-                                 quad_integrate, resample)
+from graphonsp.chebyshev import (ChebCoeffVector, QuadratureRule, _projector,
+                                 _resampler, cheb_basis_matrix, cheb_eval,
+                                 coefficient_normalizers, map_domain_inverse,
+                                 project_signal, quad_integrate, resample)
 
 
 class TestChebEval:
@@ -218,3 +218,98 @@ class TestDomainMap:
         for u in (np.nan, np.array([0.0, np.nan])):
             with pytest.raises(ValueError, match=r"\[-1, 1\]"):
                 map_domain_inverse(u)
+
+
+def fresh_projection(f, p, n):
+    """project_signal's expression on a new rule and a new basis."""
+    rule = QuadratureRule(p)
+    raw = cheb_basis_matrix(rule.nodes, n).T @ (rule.weights * f(rule.nodes))
+    return raw / coefficient_normalizers(n)
+
+
+class TestProjectorCache:
+    """The rule and the basis at its nodes are cached for the last (p, n)."""
+
+    def test_alternating_sizes_give_the_fresh_bits(self):
+        f = lambda u: np.exp(u) * np.sin(3.0 * u)
+        visits = ((10, 5), (1000, 100), (10, 5), (1000, 100), (1000, 50), (10, 5))
+        _projector.cache_clear()
+        for visit, (p, n) in enumerate(visits, start=1):
+            got = project_signal(f, p, n).coeffs
+            assert got.tobytes() == fresh_projection(f, p, n).tobytes()
+            info = _projector.cache_info()
+            assert (info.misses, info.currsize) == (visit, 1)
+        project_signal(f, 10, 5)
+        assert _projector.cache_info().hits == 1
+
+    def test_cached_arrays_are_read_only(self):
+        rule, basis = _projector(10, 5)
+        for arr in (rule.nodes, rule.weights, basis):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.5
+
+    def test_holds_the_rule_and_one_basis(self):
+        # (p+1)(n+2) doubles: the nodes, the weights and the (p+1) x n basis
+        _projector.cache_clear()
+        tracemalloc.start()
+        try:
+            rule, basis = _projector(1000, 100)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = rule.nodes.nbytes + rule.weights.nbytes + basis.nbytes
+        assert size == 1001 * 102 * 8  # 0.8 MB
+        assert size <= held < size + 2 ** 14
+
+    def test_warm_projection_builds_no_basis(self):
+        # the basis alone is 1001 x 100 doubles, 0.8 MB
+        f = lambda u: u
+        project_signal(f, 1000, 100)
+        tracemalloc.start()
+        try:
+            project_signal(f, 1000, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+
+    def test_refused_sizes_leave_the_entry(self):
+        project_signal(lambda u: u, 10, 5)
+        with pytest.raises(ValueError, match="aliasing"):
+            project_signal(lambda u: u, 4, 6)
+        assert _projector.cache_info().currsize == 1
+        assert _projector(10, 5)[1].shape == (11, 5)
+
+
+class TestResamplerCache:
+    """The uniform-point basis is cached for the last (t_points, n)."""
+
+    def test_alternating_sizes_give_the_fresh_bits(self):
+        rng = np.random.default_rng(3)
+        series = {n: rng.standard_normal(n) for n in (5, 50, 100)}
+        visits = ((50, 5), (200, 100), (50, 5), (200, 100), (200, 50), (51, 50))
+        _resampler.cache_clear()
+        for visit, (t, n) in enumerate(visits, start=1):
+            got = resample(ChebCoeffVector(series[n]), t)
+            fresh = cheb_basis_matrix(np.linspace(-1.0, 1.0, t), n) @ series[n]
+            assert got.tobytes() == fresh.tobytes()
+            info = _resampler.cache_info()
+            assert (info.misses, info.currsize) == (visit, 1)
+
+    def test_cached_basis_is_read_only(self):
+        basis = _resampler(7, 3)
+        assert basis.shape == (7, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            basis[0, 0] = 0.5
+
+    def test_warm_resample_builds_no_basis(self):
+        # the basis is 2000 x 100 doubles, 1.6 MB
+        g = np.ones(100)
+        resample(g, 2000)
+        tracemalloc.start()
+        try:
+            resample(g, 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16

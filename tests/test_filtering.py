@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -317,3 +319,120 @@ class TestFilterPipeline:
         b = filter_pipeline(exp_sum(0.5), f, 4, d, 10, 5, 50)
         assert np.array_equal(a.graphon_output, b.graphon_output)
         assert np.array_equal(a.response, b.response)
+
+
+def fresh_powers(entries, count):
+    """W^0..W^(count-1), each the one before times W, with no memo."""
+    powers = [np.eye(len(entries))]
+    for _ in range(count - 1):
+        powers.append(powers[-1] @ entries)
+    return powers
+
+
+def fresh_design(entries, order, d, rel_tol=1e-8):
+    """design_filter's taps, residual and rank from fresh stacked powers."""
+    cols = np.stack([p.reshape(-1) for p in fresh_powers(entries, order + 1)[1:]], axis=1)
+    b = d.matrix().reshape(-1)
+    h_tail, rank = filtering._truncated_svd_solve(cols, b, rel_tol)
+    residual = float(np.linalg.norm(cols @ h_tail - b))
+    return np.concatenate([[0.0], h_tail]).tobytes(), residual, rank
+
+
+def design_bits(result):
+    return result.coeffs.h.tobytes(), result.residual, result.rank_used
+
+
+def lowpass(n):
+    d = np.zeros(n)
+    d[:min(n, 4)] = [1.0, 5.0, 5.0, 10.0][:min(n, 4)]
+    return IdealResponse(d)
+
+
+class TestPowerMemo:
+    """W^0..W^8 are memoized, read-only, on the operator they belong to."""
+
+    def test_alternating_operators_and_orders_give_the_fresh_bits(self):
+        ops = [build_fg_shift(sin_product(0.5, 0.5, 3.5), 10, 5),
+               build_fg_shift(exp_distance(10.0), 1000, 100)]
+        expected = {(i, k): fresh_design(op.entries, k, lowpass(op.size))
+                    for i, op in enumerate(ops) for k in range(1, 9)}
+        for k in (8, 1, 5, 3, 8, 2, 7, 4, 6, 1):
+            for i, op in enumerate(ops):
+                assert design_bits(design_filter(op, k, lowpass(op.size))) == expected[i, k]
+
+    @pytest.mark.parametrize("order", [9, 12, 25])
+    def test_orders_past_the_memo_give_the_fresh_bits(self, order):
+        op = build_fg_shift(exp_distance(10.0), 10, 5)
+        d = lowpass(5)
+        design_filter(op, 3, d)
+        assert design_bits(design_filter(op, order, d)) == fresh_design(op.entries, order, d)
+        assert len(op._power_memo) == 9
+
+    def test_memo_holds_w0_to_w8_read_only(self):
+        op = build_fg_shift(exp_sum(0.5), 10, 5)
+        design_filter(op, 25, lowpass(5))
+        memo = op._power_memo
+        assert len(memo) == 9
+        for got, want in zip(memo, fresh_powers(op.entries, 9)):
+            assert got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                got[0, 0] = 0.5
+
+    def test_filter_operator_reads_the_powers_its_design_formed(self):
+        op = build_fg_shift(exp_distance(10.0), 10, 5)
+        result = design_filter(op, 5, lowpass(5))
+        memo = op._power_memo
+        got = fg_filter_operator(op, result.coeffs)
+        assert op._power_memo is memo and len(memo) == 6
+        want = sum(hk * p for hk, p in zip(result.coeffs.h, fresh_powers(op.entries, 6)))
+        assert got.tobytes() == want.tobytes()
+
+    def test_each_operator_object_has_its_own_memo(self):
+        w = exp_sum(0.5)
+        op = build_fg_shift(w, 10, 5)
+        design_filter(op, 4, lowpass(5))
+        again = build_fg_shift(w, 10, 5)
+        assert again.entries is op.entries and again._power_memo == ()
+
+    @pytest.mark.parametrize("order", [8, 50, 400])
+    def test_memo_holds_at_most_nine_powers_whatever_the_order(self, order):
+        n = 20
+        op = build_fg_shift(exp_distance(10.0), 64, n)
+        tracemalloc.start()
+        try:
+            design_filter(op, order, lowpass(n))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(p.nbytes for p in op._power_memo) == 9 * 8 * n * n
+        assert held < 9 * 8 * n * n + 2 ** 14
+
+    def test_threads_sharing_one_operator_give_the_serial_bits(self):
+        # one operator, its memo empty at the start: concurrent designs and
+        # filters race to form and publish the same powers
+        entries = build_fg_shift(sin_product(0.5, 0.5, 3.5), 64, 16).entries
+        d = lowpass(16)
+        taps = [FilterCoeffs(np.linspace(1.0, 0.1, m)) for m in (3, 9, 12)]
+        jobs = ([(design_filter, k, d) for k in range(1, 9)]
+                + [(fg_filter_operator, h) for h in taps]) * 4
+        serial = OperatorMatrix(entries=entries)
+        expected = [fn(serial, *args) for fn, *args in jobs]
+        shared = OperatorMatrix(entries=entries)
+        assert shared.entries is serial.entries and shared._power_memo == ()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(fn, shared, *args) for fn, *args in jobs]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(got, expected):
+            if isinstance(a, np.ndarray):
+                assert a.tobytes() == b.tobytes()
+            else:
+                assert design_bits(a) == design_bits(b)
+        assert 1 <= len(shared._power_memo) <= 9
+        for got_power, want in zip(shared._power_memo, fresh_powers(entries, 9)):
+            assert got_power.tobytes() == want.tobytes()
+            assert not got_power.flags.writeable

@@ -12,9 +12,9 @@ from graphonsp.chebyshev import (QuadratureRule, cheb_basis_matrix,
 from graphonsp.cli import parse_graphon_spec
 from graphonsp.filtering import (FilterCoeffs, IdealResponse, fg_filter_operator,
                                  filter_pipeline)
-from graphonsp.galerkin import (_factors, _galerkin, _weight_correction,
-                                build_fg_shift, compute_tilde_w, fredholm_solve,
-                                operator_to_csv, resolvent_eigs)
+from graphonsp.galerkin import (OperatorMatrix, _factors, _galerkin,
+                                _weight_correction, build_fg_shift, compute_tilde_w,
+                                fredholm_solve, operator_to_csv, resolvent_eigs)
 from graphonsp.kernels import (empirical_graphon, erdos_renyi, exp_distance,
                                exp_sum, grid_graphon, sin_product)
 from graphonsp.sampling import sample_graph, scaled_adjacency
@@ -474,6 +474,75 @@ class TestFredholmSolve:
             errs.append(np.abs(y - exact).max())
         for a, b in zip(errs, errs[1:]):
             assert b <= a + 1e-12
+
+
+    def test_alternating_sizes_give_the_fresh_bits(self):
+        # the projection and the resampling read one-entry caches; (p, n)
+        # and t alternate from call to call, so each call evicts the last
+        w, f = exp_distance(10), lambda x: x * x + np.cos(x)
+        for p, n, t in ((10, 5, 50), (1000, 100, 200), (10, 5, 200), (1000, 100, 50),
+                        (1000, 50, 200), (10, 5, 50)):
+            rule = QuadratureRule(p)
+            basis = cheb_basis_matrix(rule.nodes, n)
+            raw = basis.T @ (rule.weights * f(map_domain_inverse(rule.nodes)))
+            coeffs = raw / coefficient_normalizers(n)
+            out = build_fg_shift(w, p, n).entries @ coeffs
+            fresh = cheb_basis_matrix(np.linspace(-1.0, 1.0, t), n) @ out
+            assert fredholm_solve(w, f, p, n, t).tobytes() == fresh.tobytes()
+
+
+class TestOperatorMatrix:
+    """The entries are checked and kept read-only, so that nothing can
+    change them under the powers ``filtering`` memoizes on the operator."""
+
+    @pytest.mark.parametrize("entries", [np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2)),
+                                         np.zeros((0, 0)), 5.0, [], [[1.0, 2.0]]],
+                             ids=["2x3", "vector", "3-d", "0x0", "scalar", "empty-list",
+                                  "1x2-list"])
+    def test_refuses_all_but_a_nonempty_square_matrix(self, entries):
+        with pytest.raises(ValueError, match="operator entries must form a nonempty "
+                                             "square matrix"):
+            OperatorMatrix(entries=entries)
+
+    def test_writable_input_is_copied_not_aliased(self):
+        entries = np.arange(9.0).reshape(3, 3)
+        op = OperatorMatrix(entries=entries)
+        assert op.entries is not entries and not np.shares_memory(op.entries, entries)
+        entries[0, 0] = 100.0
+        assert op.entries[0, 0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            op.entries[0, 0] = 1.0
+
+    def test_read_only_view_of_writable_data_is_copied(self):
+        base = np.eye(4)
+        view = base[:3, :3]
+        view.flags.writeable = False
+        op = OperatorMatrix(entries=view)
+        base[0, 0] = 7.0
+        assert op.entries[0, 0] == 1.0 and op.entries.base is None
+
+    @pytest.mark.parametrize("entries", [[[1, 2], [3, 4]], np.array([[1, 2], [3, 4]]),
+                                         np.array([[1, 2], [3, 4]], dtype=np.float32)],
+                             ids=["list", "int64", "float32"])
+    def test_other_input_is_stored_as_a_read_only_float_copy(self, entries):
+        op = OperatorMatrix(entries=entries)
+        assert op.entries.dtype == np.float64 and not op.entries.flags.writeable
+        assert np.array_equal(op.entries, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_read_only_float_array_owning_its_data_is_kept(self):
+        entries = np.eye(3)
+        entries.flags.writeable = False
+        assert OperatorMatrix(entries=entries).entries is entries
+
+    def test_non_finite_entries_are_kept(self):
+        # the CLI reports them with exit 1, after the operator is built
+        entries = np.array([[np.nan, 0.0], [np.inf, 1.0]])
+        got = OperatorMatrix(entries=entries).entries
+        assert got.tobytes() == entries.tobytes()
+
+    def test_refused_before_any_eigenvalue(self):
+        with pytest.raises(ValueError, match="square matrix"):
+            resolvent_eigs(OperatorMatrix(np.ones((2, 3))))
 
 
 class TestResolventEigs:
