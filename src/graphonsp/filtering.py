@@ -18,6 +18,7 @@ directly with the k-from-zero filter conventions below.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -42,7 +43,10 @@ __all__ = [
 
 
 def _finite_vector(values, what: str) -> np.ndarray:
-    """``values`` as a float vector; ValueError unless nonempty, 1-D and finite."""
+    """``values`` as a float vector; ValueError unless real, nonempty, 1-D and
+    finite."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{what} must be real")
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 1 or not np.all(np.isfinite(v)):
         raise ValueError(f"{what} must be a nonempty finite vector")
@@ -101,28 +105,28 @@ def apply_graph_filter(g: Graph, h: FilterCoeffs, x: np.ndarray) -> np.ndarray:
 _ORDER_FLOOR = 8
 
 
-def _powers(w_op: OperatorMatrix):
-    """W^0 = I, W^1, W^2, ...: each power is the one before times W.
+@functools.lru_cache(maxsize=_ORDER_FLOOR + 1)
+def _power(w_op: OperatorMatrix, k: int) -> np.ndarray:
+    """W^k, read-only: W^0 = I, and each power is the one before times W.
 
-    W^0..W^_ORDER_FLOOR are memoized, read-only, in ``w_op._power_memo``,
-    at most 9 n^2 * 8 bytes (720 kB at n=100), so the design studies' orders
-    and the filter built from the chosen design share their products.  The
-    memo grows by swapping in a longer tuple, never by writing into one, so
-    concurrent callers on one operator may form a power twice, or drop one
-    another's, but every memo they read holds W^0..W^k in order.  Higher
-    powers are formed per call and dropped.
+    The cache holds the 9 powers used last, room for W^0..W^_ORDER_FLOOR
+    of one operator, at most 9 n^2 * 8 bytes (720 kB at n=100), so the
+    design studies' orders and the filter built from the chosen design
+    share their products.  The powers, and their operator, stay alive until
+    powers of another operator evict them.  The key is the operator object
+    itself, which is sound because ``OperatorMatrix`` compares by identity
+    and its entries are a read-only copy.
     """
+    power = np.eye(w_op.size) if k == 0 else _power(w_op, k - 1) @ w_op.entries
+    power.flags.writeable = False
+    return power
+
+
+def _powers(w_op: OperatorMatrix):
+    """W^0 = I, W^1, W^2, ...: W^0..W^_ORDER_FLOOR from ``_power``; higher
+    powers are formed per call, each the one before times W, and dropped."""
     for k in itertools.count():
-        memo = w_op._power_memo
-        if k < len(memo):
-            power = memo[k]
-        else:
-            power = np.eye(w_op.size) if k == 0 else power @ w_op.entries
-            if k <= _ORDER_FLOOR:
-                power.flags.writeable = False
-                memo = w_op._power_memo  # reread: the product released the GIL
-                if len(memo) == k:
-                    object.__setattr__(w_op, "_power_memo", memo + (power,))
+        power = _power(w_op, k) if k <= _ORDER_FLOOR else power @ w_op.entries
         yield power
 
 
@@ -173,9 +177,8 @@ def design_filter(w_op: OperatorMatrix, order: int, d: IdealResponse,
         raise ValueError(f"ideal response length {len(d.d)} does not match "
                          f"operator size {w_op.size}")
     cols = np.empty((w_op.size ** 2, order))  # vec(W^1) .. vec(W^order)
-    powers = _powers(w_op)
-    next(powers)  # W^0 is not a column
-    for k, power in zip(range(order), powers):
+    # W^0 is not a column, and islice forms no power past W^order
+    for k, power in enumerate(itertools.islice(_powers(w_op), 1, order + 1)):
         cols[:, k] = power.reshape(-1)
     b = d.matrix().reshape(-1)
     h_tail, rank = _truncated_svd_solve(cols, b, rel_tol)
@@ -206,8 +209,9 @@ def filter_pipeline(w, f, order: int, d: IdealResponse, p: int, n: int,
 
     Returns the designed coefficients, the design residual, the filtered
     output at t_points uniform points, and the frequency response H @ 1.
-    The shift operator is ``build_fg_shift``'s, so it is reused when ``w``
-    was just built at (p, n).
+    The shift operator is ``build_fg_shift``'s: when ``w`` was just built
+    at (p, n) it is that same object, and the powers formed for designs on
+    it are reused.
     """
     w_op = build_fg_shift(w, p, n)
     design = design_filter(w_op, order, d)

@@ -34,15 +34,17 @@ the matrix represents g = T f on [0,1] including the domain-map Jacobian.
 
 Two one-entry caches serve callers that work at one (p, n) in a row.
 ``_factors`` keeps the nodes and the two factors, keyed by (p, n), for the
-next kernel.  ``_shift`` keeps the last shift operator, keyed by (graphon,
-p, n), so that ``build_fg_shift``, ``fredholm_solve`` and
-``filtering.filter_pipeline`` on one graphon evaluate its kernel once.
+next kernel.  ``_shift`` keeps the last shift operator itself, keyed by
+(graphon, p, n): ``build_fg_shift``, ``fredholm_solve`` and
+``filtering.filter_pipeline`` on one graphon share that one
+``OperatorMatrix``, so its kernel is evaluated once and the powers
+``filtering`` caches for it are formed once.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,23 +67,19 @@ __all__ = [
 class OperatorMatrix:
     """Square operator matrix in the Chebyshev basis.
 
-    ``entries`` is kept as given when it is a read-only float64 array that
-    owns its data (``build_fg_shift``'s, shared with ``_shift``); anything
-    else is stored as a read-only float copy, so that no caller can change
-    the values under the powers ``filtering`` memoizes in ``_power_memo``.
-    ValueError unless the entries form a nonempty square matrix; non-finite
-    values are kept.
+    ``entries`` is stored as a read-only float64 copy of what is given, so
+    that no caller can change the values under the powers ``filtering``
+    caches for the operator.  ValueError unless the entries form a real,
+    nonempty square matrix; non-finite values are kept.
     """
 
     entries: np.ndarray
-    _power_memo: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
-        entries = self.entries
-        if not (type(entries) is np.ndarray and entries.dtype == np.float64
-                and entries.base is None and not entries.flags.writeable):
-            entries = np.array(entries, dtype=float)
-            entries.flags.writeable = False
+        if np.iscomplexobj(self.entries):
+            raise ValueError("operator entries must be real")
+        entries = np.array(self.entries, dtype=float)
+        entries.flags.writeable = False
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.size == 0:
             raise ValueError("operator entries must form a nonempty square matrix, "
                              f"got shape {entries.shape}")
@@ -165,38 +163,36 @@ def compute_tilde_w(w: Graphon, p: int, n_pad: int) -> OperatorMatrix:
     entries = np.zeros((n_pad, n_pad))
     x, left, _ = _factors(p, n_live)
     entries[:n_live, :n_live] = _galerkin(w, x, left, left)
-    entries.flags.writeable = False
     return OperatorMatrix(entries=entries)
 
 
 @functools.lru_cache(maxsize=1)
-def _shift(w: Graphon, p: int, n: int) -> np.ndarray:
-    """The read-only entries of the shift operator of ``w`` at (p, n).
+def _shift(w: Graphon, p: int, n: int) -> OperatorMatrix:
+    """The shift operator of ``w`` at (p, n).
 
     One entry is kept: a build, the Fredholm solve and the filter pipeline
-    that follow it on the same graphon at the same (p, n) evaluate the
-    kernel once between them.  The key is the graphon object itself
-    (``Graphon`` compares by identity), which is sound because a graphon's
-    values are immutable after construction; the cache holds a strong
-    reference, so the object's id cannot be reused while it is cached.  It
-    keeps alive one n x n array and the last graphon with what its closure
-    holds: for an empirical graphon, the graph's packed adjacency rows
-    (32 MB at ``sampling.MAX_NODES``).
+    that follow it on the same graphon at the same (p, n) get this one
+    object, so they evaluate the kernel once between them and share the
+    powers ``filtering`` caches for it.  The key is the graphon object
+    itself (``Graphon`` compares by identity), which is sound because a
+    graphon's values are immutable after construction; the cache holds a
+    strong reference, so the object's id cannot be reused while it is
+    cached.  It keeps alive one n x n array and the last graphon with what
+    its closure holds: for an empirical graphon, the graph's packed
+    adjacency rows (32 MB at ``sampling.MAX_NODES``).
     """
-    corrected = _galerkin(w, *_factors(p, n))
-    entries = corrected / (2.0 * coefficient_normalizers(n))[:, None]
-    entries.flags.writeable = False
-    return entries
+    return OperatorMatrix(_galerkin(w, *_factors(p, n))
+                          / (2.0 * coefficient_normalizers(n))[:, None])
 
 
 def build_fg_shift(w: Graphon, p: int, n: int) -> OperatorMatrix:
     """Fourier-Galerkin shift operator: tilde sums with the weight correction
     C folded in, then normalization onto unit-series coefficients.
 
-    The entries are shared, read-only, with the last build of the same
+    The operator is the one object returned by the last build of the same
     graphon object at the same (p, n); see ``_shift``."""
     _check_basis_size(p, n)
-    return OperatorMatrix(entries=_shift(w, p, n))
+    return _shift(w, p, n)
 
 
 def fredholm_solve(w: Graphon, f, p: int, n: int, t_points: int) -> np.ndarray:

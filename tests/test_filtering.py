@@ -109,6 +109,13 @@ class TestApplyGraphFilter:
             apply_graph_filter(scaled_adjacency(g), FilterCoeffs([2.0]), np.ones(6))
 
 
+# complex input, as an array and as a list of Python complex numbers: each is
+# refused, never cast to its real part, even when its imaginary part is zero
+complex_vectors = pytest.mark.parametrize(
+    "values", [np.array([3 + 1j, 1.0]), [3 + 1j, 1.0], np.array([2 + 0j]), [1j, 0.0]],
+    ids=["array", "list", "zero-imaginary-array", "imaginary-list"])
+
+
 class TestFilterCoeffs:
     @pytest.mark.parametrize("h", [[], [[1.0, 0.0]], [0.5, np.nan], [np.inf, 1.0]],
                              ids=["empty", "2-D", "nan", "inf"])
@@ -116,6 +123,11 @@ class TestFilterCoeffs:
         with pytest.raises(ValueError,
                            match="filter coefficients must be a nonempty finite vector"):
             FilterCoeffs(h)
+
+    @complex_vectors
+    def test_complex_taps_are_refused(self, values):
+        with pytest.raises(ValueError, match="filter coefficients must be real"):
+            FilterCoeffs(values)
 
     def test_taps_are_stored_as_floats(self):
         h = FilterCoeffs([1, 0, 2])
@@ -223,6 +235,12 @@ class TestDesignFilter:
         with pytest.raises(ValueError, match="ideal response must be a nonempty finite vector"):
             IdealResponse(d)
 
+    @complex_vectors
+    def test_complex_ideal_response_is_refused(self, values):
+        # resolvent_eigs returns complex eigenvalues for expdist:10
+        with pytest.raises(ValueError, match="ideal response must be real"):
+            IdealResponse(values)
+
     def test_length_mismatch_rejected(self):
         op = build_fg_shift(erdos_renyi(0.5), 10, 5)
         with pytest.raises(ValueError):
@@ -322,7 +340,7 @@ class TestFilterPipeline:
 
 
 def fresh_powers(entries, count):
-    """W^0..W^(count-1), each the one before times W, with no memo."""
+    """W^0..W^(count-1), each the one before times W, with no cache."""
     powers = [np.eye(len(entries))]
     for _ in range(count - 1):
         powers.append(powers[-1] @ entries)
@@ -348,8 +366,21 @@ def lowpass(n):
     return IdealResponse(d)
 
 
-class TestPowerMemo:
-    """W^0..W^8 are memoized, read-only, on the operator they belong to."""
+def power_misses():
+    return filtering._power.cache_info().misses
+
+
+def cached_powers(op):
+    """W^0..W^8 of ``op`` read from ``filtering._power``; fails unless every
+    one of them was cached."""
+    misses = power_misses()
+    powers = [filtering._power(op, k) for k in range(9)]
+    assert power_misses() == misses
+    return powers
+
+
+class TestPowerCache:
+    """W^0..W^8 of the last operator are cached, read-only, by ``_power``."""
 
     def test_alternating_operators_and_orders_give_the_fresh_bits(self):
         ops = [build_fg_shift(sin_product(0.5, 0.5, 3.5), 10, 5),
@@ -359,57 +390,78 @@ class TestPowerMemo:
         for k in (8, 1, 5, 3, 8, 2, 7, 4, 6, 1):
             for i, op in enumerate(ops):
                 assert design_bits(design_filter(op, k, lowpass(op.size))) == expected[i, k]
+        # nine powers in all, however many operators were designed on
+        assert filtering._power.cache_info().currsize == 9
 
     @pytest.mark.parametrize("order", [9, 12, 25])
-    def test_orders_past_the_memo_give_the_fresh_bits(self, order):
+    def test_orders_past_the_cache_give_the_fresh_bits(self, order):
         op = build_fg_shift(exp_distance(10.0), 10, 5)
         d = lowpass(5)
         design_filter(op, 3, d)
         assert design_bits(design_filter(op, order, d)) == fresh_design(op.entries, order, d)
-        assert len(op._power_memo) == 9
+        assert len(cached_powers(op)) == 9
 
-    def test_memo_holds_w0_to_w8_read_only(self):
+    def test_cache_holds_w0_to_w8_read_only(self):
         op = build_fg_shift(exp_sum(0.5), 10, 5)
         design_filter(op, 25, lowpass(5))
-        memo = op._power_memo
-        assert len(memo) == 9
-        for got, want in zip(memo, fresh_powers(op.entries, 9)):
+        for got, want in zip(cached_powers(op), fresh_powers(op.entries, 9)):
             assert got.tobytes() == want.tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 got[0, 0] = 0.5
 
     def test_filter_operator_reads_the_powers_its_design_formed(self):
         op = build_fg_shift(exp_distance(10.0), 10, 5)
+        before = power_misses()
         result = design_filter(op, 5, lowpass(5))
-        memo = op._power_memo
+        assert power_misses() == before + 6
         got = fg_filter_operator(op, result.coeffs)
-        assert op._power_memo is memo and len(memo) == 6
+        assert power_misses() == before + 6
         want = sum(hk * p for hk, p in zip(result.coeffs.h, fresh_powers(op.entries, 6)))
         assert got.tobytes() == want.tobytes()
 
-    def test_each_operator_object_has_its_own_memo(self):
+    def test_a_rebuild_shares_the_powers_another_object_forms_its_own(self):
         w = exp_sum(0.5)
         op = build_fg_shift(w, 10, 5)
         design_filter(op, 4, lowpass(5))
+        before = power_misses()
         again = build_fg_shift(w, 10, 5)
-        assert again.entries is op.entries and again._power_memo == ()
+        assert again is op
+        design_filter(again, 4, lowpass(5))
+        assert power_misses() == before
+        # the cache is keyed by the operator object, not by its values
+        design_filter(OperatorMatrix(entries=op.entries), 4, lowpass(5))
+        assert power_misses() == before + 5
+
+    @pytest.mark.parametrize("p, n", [(10, 5), (1000, 100)])
+    def test_pipeline_after_the_order_sweep_forms_no_power(self, p, n):
+        # the operator benchmark's chain: 9 misses, W^0..W^8, are 8 products
+        w, f, d = sin_product(0.5, 0.5, 3.5), (lambda x: x), lowpass(n)
+        before = power_misses()
+        op = build_fg_shift(w, p, n)
+        designs = [design_filter(op, k, d) for k in range(1, 9)]
+        assert power_misses() == before + 9
+        pipe = filter_pipeline(w, f, 5, d, p, n, 50)
+        assert power_misses() == before + 9
+        assert (pipe.coeffs.h.tobytes(), pipe.residual) == design_bits(designs[4])[:2]
 
     @pytest.mark.parametrize("order", [8, 50, 400])
-    def test_memo_holds_at_most_nine_powers_whatever_the_order(self, order):
+    def test_cache_holds_at_most_nine_powers_whatever_the_order(self, order):
         n = 20
         op = build_fg_shift(exp_distance(10.0), 64, n)
+        filtering._power.cache_clear()
         tracemalloc.start()
         try:
             design_filter(op, order, lowpass(n))
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sum(p.nbytes for p in op._power_memo) == 9 * 8 * n * n
+        assert filtering._power.cache_info().currsize == 9
+        assert sum(p.nbytes for p in cached_powers(op)) == 9 * 8 * n * n
         assert held < 9 * 8 * n * n + 2 ** 14
 
     def test_threads_sharing_one_operator_give_the_serial_bits(self):
-        # one operator, its memo empty at the start: concurrent designs and
-        # filters race to form and publish the same powers
+        # one operator with no power cached at the start: concurrent designs
+        # and filters race to form and cache the same powers
         entries = build_fg_shift(sin_product(0.5, 0.5, 3.5), 64, 16).entries
         d = lowpass(16)
         taps = [FilterCoeffs(np.linspace(1.0, 0.1, m)) for m in (3, 9, 12)]
@@ -418,7 +470,7 @@ class TestPowerMemo:
         serial = OperatorMatrix(entries=entries)
         expected = [fn(serial, *args) for fn, *args in jobs]
         shared = OperatorMatrix(entries=entries)
-        assert shared.entries is serial.entries and shared._power_memo == ()
+        filtering._power.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -432,7 +484,6 @@ class TestPowerMemo:
                 assert a.tobytes() == b.tobytes()
             else:
                 assert design_bits(a) == design_bits(b)
-        assert 1 <= len(shared._power_memo) <= 9
-        for got_power, want in zip(shared._power_memo, fresh_powers(entries, 9)):
+        for got_power, want in zip(cached_powers(shared), fresh_powers(entries, 9)):
             assert got_power.tobytes() == want.tobytes()
             assert not got_power.flags.writeable

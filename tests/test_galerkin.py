@@ -376,7 +376,7 @@ def direct_shift(w, p, n):
 
 
 class TestShiftCache:
-    """The shift's entries are cached for the last (graphon object, p, n)."""
+    """The shift operator is cached for the last (graphon object, p, n)."""
 
     @pytest.mark.parametrize("p, n", [(10, 5), (1000, 100)])
     def test_build_solve_and_pipeline_evaluate_the_kernel_once(self, kernel_builds, p, n):
@@ -386,8 +386,12 @@ class TestShiftCache:
         filter_pipeline(w, lambda x: x, 5, IdealResponse(np.eye(n)[0]), p, n, 50)
         again = build_fg_shift(w, p, n)
         assert kernel_builds == [w]
-        # a new OperatorMatrix around the one read-only array
-        assert again is not op and again.entries is op.entries
+        assert again is op
+
+    @pytest.mark.parametrize("p, n", [(10, 5), (1000, 100)])
+    def test_a_rebuild_is_the_same_object(self, p, n):
+        w = sin_product(0.5, 0.5, 3.5)
+        assert build_fg_shift(w, p, n) is build_fg_shift(w, p, n)
 
     def test_another_graphon_object_or_size_rebuilds(self, kernel_builds):
         a, b = parse_graphon_spec("expsum:0.5"), parse_graphon_spec("expsum:0.5")
@@ -492,8 +496,9 @@ class TestFredholmSolve:
 
 
 class TestOperatorMatrix:
-    """The entries are checked and kept read-only, so that nothing can
-    change them under the powers ``filtering`` memoizes on the operator."""
+    """The entries are checked and stored as a read-only copy, so that
+    nothing can change them under the powers ``filtering`` caches for the
+    operator."""
 
     @pytest.mark.parametrize("entries", [np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2)),
                                          np.zeros((0, 0)), 5.0, [], [[1.0, 2.0]]],
@@ -529,10 +534,26 @@ class TestOperatorMatrix:
         assert op.entries.dtype == np.float64 and not op.entries.flags.writeable
         assert np.array_equal(op.entries, [[1.0, 2.0], [3.0, 4.0]])
 
-    def test_read_only_float_array_owning_its_data_is_kept(self):
-        entries = np.eye(3)
-        entries.flags.writeable = False
-        assert OperatorMatrix(entries=entries).entries is entries
+    @pytest.mark.parametrize("source", ["read-only", "operator"])
+    def test_every_input_is_copied_never_aliased(self, source):
+        # a read-only float64 array owning its data, and another operator's
+        # entries, are copied like any other input
+        if source == "operator":
+            entries = build_fg_shift(exp_sum(0.5), 10, 5).entries
+        else:
+            entries = np.eye(3)
+            entries.flags.writeable = False
+        got = OperatorMatrix(entries=entries).entries
+        assert got is not entries and not np.shares_memory(got, entries)
+        assert got.tobytes() == entries.tobytes() and not got.flags.writeable
+
+    @pytest.mark.parametrize("entries", [np.array([[1 + 2j]]), [[1 + 2j]],
+                                         np.array([[1 + 0j, 0.0], [0.0, 1.0]]),
+                                         [[1.0, 0.0], [0.0, 1j]]],
+                             ids=["array", "list", "zero-imaginary-array", "imaginary-entry-list"])
+    def test_complex_input_is_refused(self, entries):
+        with pytest.raises(ValueError, match="operator entries must be real"):
+            OperatorMatrix(entries=entries)
 
     def test_non_finite_entries_are_kept(self):
         # the CLI reports them with exit 1, after the operator is built
