@@ -1,9 +1,14 @@
 """Command-line interface.
 
-Subcommands wire configuration flags to the library operations and write
-plain CSV/JSON artifacts.  Exit codes: 0 success, 1 numerical failure
-(non-finite result, nothing written), 2 usage or validation error or an
-input too large for memory.
+Each subcommand has one private handler, found in ``_HANDLERS``, that wires
+its flags to the library operations and writes plain CSV/JSON artifacts; a
+handler raises to fail and ``dispatch`` turns the exception into an exit
+code.  A flag that several subcommands share (``--graphon``, ``--panels``,
+``--basis``, ``--points``, ``--seed``, ``--unsorted``, ``--out``) is
+declared once in ``_build_parser`` and means the same, with the same
+default, in each.  Exit codes: 0 success, 1 numerical failure (non-finite
+result, nothing written), 2 usage or validation error or an input too large
+for memory.
 """
 
 from __future__ import annotations
@@ -73,15 +78,11 @@ def _parse_ints(text: str) -> tuple:
 
 
 def _add_study_flags(p: argparse.ArgumentParser, seeds: str) -> None:
-    """Flags shared by the experiment:* subcommands."""
+    """Flags of the experiment:* subcommands that they alone take."""
     p.add_argument("--graphon", action="append", default=None,
                    help="repeatable; defaults to the three reference models")
     p.add_argument("--seeds", default=seeds, help="comma list of seeds")
-    p.add_argument("--panels", type=int, default=10)
-    p.add_argument("--basis", type=int, default=5)
     p.add_argument("--input", default="x_plus_sin")
-    p.add_argument("--points", type=int, default=200)
-    p.add_argument("--unsorted", action="store_true")
     p.add_argument("--out-dir", required=True)
 
 
@@ -91,49 +92,52 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Graphon signal processing: sampling, Fourier-Galerkin "
                     "operators, Fredholm solves, and filter design.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each flag that several subcommands share is declared once, in a parent
+    # parser of its own, and copied into each subcommand that names it.  The
+    # copies share one action, so no subcommand may call set_defaults: that
+    # would rewrite the flag's default for all of them.
+    shared = {name: argparse.ArgumentParser(add_help=False) for name in
+              ("graphon", "panels", "basis", "points", "seed", "unsorted", "out")}
+    shared["graphon"].add_argument("--graphon", required=True)
+    shared["panels"].add_argument("--panels", type=int, default=10)
+    shared["basis"].add_argument("--basis", type=int, default=5)
+    shared["points"].add_argument("--points", type=int, default=200)
+    shared["seed"].add_argument("--seed", type=int, default=0)
+    shared["unsorted"].add_argument("--unsorted", action="store_true",
+                                    help="skip sorting the latent samples")
+    shared["out"].add_argument("--out", required=True)
 
-    p = sub.add_parser("sample", help="draw a random graph from a graphon")
-    p.add_argument("--graphon", required=True)
+    def add(command, summary, *flags):
+        return sub.add_parser(command, help=summary, parents=[shared[f] for f in flags])
+
+    p = add("sample", "draw a random graph from a graphon",
+            "graphon", "seed", "unsorted", "out")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--unsorted", action="store_true",
-                   help="skip sorting the latent samples")
-    p.add_argument("--out", required=True)
     p.add_argument("--latent-out", default=None,
                    help="optional CSV for the latent positions")
 
-    p = sub.add_parser("fg-operator", help="write the Fourier-Galerkin shift operator")
-    p.add_argument("--graphon", required=True)
-    p.add_argument("--panels", type=int, default=10)
-    p.add_argument("--basis", type=int, default=5)
-    p.add_argument("--out", required=True)
+    add("fg-operator", "write the Fourier-Galerkin shift operator",
+        "graphon", "panels", "basis", "out")
 
-    p = sub.add_parser("solve", help="solve g = T f on a uniform grid")
-    p.add_argument("--graphon", required=True)
-    p.add_argument("--panels", type=int, default=10)
-    p.add_argument("--basis", type=int, default=5)
+    p = add("solve", "solve g = T f on a uniform grid",
+            "graphon", "panels", "basis", "points", "out")
     p.add_argument("--input", default="y", help="input function id")
-    p.add_argument("--points", type=int, default=200)
-    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("design", help="design a polynomial graphon filter")
-    p.add_argument("--graphon", required=True)
+    p = add("design", "design a polynomial graphon filter", "graphon", "panels")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--ideal", required=True,
                    help="comma list, the diagonal of D; its length is the basis size")
-    p.add_argument("--panels", type=int, default=10)
     p.add_argument("--svd-tol", type=float, default=1e-8)
     p.add_argument("--response-out", default=None,
                    help="optional CSV of the frequency response")
 
-    p = sub.add_parser("homdensity", help="homomorphism density estimates")
+    p = add("homdensity", "homomorphism density estimates", "graphon", "seed")
     p.add_argument("--motif", default="triangle")
-    p.add_argument("--graphon", required=True)
     p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
 
+    study_flags = ("panels", "basis", "points", "unsorted")
     for study in ("lowpass", "consensus"):
-        p = sub.add_parser(f"experiment:{study}", help=f"run the {study} study")
+        p = add(f"experiment:{study}", f"run the {study} study", *study_flags)
         p.add_argument("--n", type=int, default=2000)
         p.add_argument("--order", type=int, default=5,
                        help="design order whose curves are reported, 1..8")
@@ -141,8 +145,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--ideal", default=None, help="comma list, diagonal of D")
         _add_study_flags(p, seeds="0")
 
-    p = sub.add_parser("experiment:convergence",
-                       help="graph-to-graphon filter convergence sweep")
+    p = add("experiment:convergence", "graph-to-graphon filter convergence sweep",
+            *study_flags)
     p.add_argument("--n-values", default="100,400,1600")
     p.add_argument("--taps", default="0.5,0.3,0.2")
     _add_study_flags(p, seeds="0,1,2,3,4")
@@ -156,17 +160,74 @@ _DEFAULT_GRAPHONS = ("er:0.5", "sinprod:0.5,0.5,3.5", "expdist:10")
 _MAX_SAMPLES = 10 ** 9
 
 
-def _experiment_config(args) -> ExperimentConfig:
-    if args.command == "experiment:convergence":
+def _sample(args) -> None:
+    w = parse_graphon_spec(args.graphon)
+    g = sampling.sample_graph(w, args.n, args.seed, sorted_latent=not args.unsorted)
+    sampling.graph_to_edgelist(g, args.out, latent_path=args.latent_out)
+    print(f"wrote {g.edge_count()} edges on {g.n} nodes to {args.out}")
+
+
+def _fg_operator(args) -> None:
+    w = parse_graphon_spec(args.graphon)
+    op = galerkin.build_fg_shift(w, args.panels, args.basis)
+    _check_finite(op.entries, "operator")
+    galerkin.operator_to_csv(op, args.out)
+    print(f"wrote {op.size}x{op.size} operator to {args.out}")
+
+
+def _solve(args) -> None:
+    w = parse_graphon_spec(args.graphon)
+    f = input_function(args.input)
+    y = galerkin.fredholm_solve(w, f, args.panels, args.basis, args.points)
+    _check_finite(y, "solve")
+    x = map_domain_inverse(np.linspace(-1.0, 1.0, args.points))
+    with open(args.out, "w") as fh:
+        fh.write("x,g\n")
+        for xi, yi in zip(x, y):
+            fh.write(f"{float(xi)!r},{float(yi)!r}\n")
+    print(f"wrote {args.points} solution points to {args.out}")
+
+
+def _design(args) -> None:
+    w = parse_graphon_spec(args.graphon)
+    ideal = _parse_floats(args.ideal)
+    op = galerkin.build_fg_shift(w, args.panels, len(ideal))
+    result = filtering.design_filter(op, args.order, filtering.IdealResponse(ideal),
+                                     rel_tol=args.svd_tol)
+    _check_finite(result.residual, "design residual")
+    print(json.dumps({"h": [float(v) for v in result.coeffs.h],
+                      "residual": result.residual,
+                      "rank_used": result.rank_used}, allow_nan=False))
+    if args.response_out:
+        h_mat = filtering.fg_filter_operator(op, result.coeffs)
+        np.savetxt(args.response_out, filtering.frequency_response(h_mat), delimiter=",")
+
+
+def _homdensity(args) -> None:
+    # checked in this order: --samples, then --motif, then --graphon
+    if not 1 <= args.samples <= _MAX_SAMPLES:
+        raise ValueError(f"--samples must lie in 1..{_MAX_SAMPLES}, got {args.samples}")
+    motif = parse_motif_spec(args.motif)
+    w = parse_graphon_spec(args.graphon)
+    est = homdensity.hom_density_graphon(motif, w, args.samples, args.seed)
+    # JSON has no infinity: one sample gives no standard error
+    stderr = est.stderr if np.isfinite(est.stderr) else None
+    print(json.dumps({"estimate": est.estimate, "stderr": stderr,
+                      "samples": est.samples}, allow_nan=False))
+
+
+def _experiment(args) -> None:
+    stem = args.command.split(":")[1]
+    if stem == "convergence":
         study = {"node_counts": _parse_ints(args.n_values),
                  "filter_taps": tuple(_parse_floats(args.taps))}
     else:
         study = {"node_counts": (args.n,), "chosen_order": args.order}
-    if args.command == "experiment:lowpass" and args.ideal:
+    if stem == "lowpass" and args.ideal:
         study["ideal"] = _parse_floats(args.ideal)
-    specs = args.graphon or _DEFAULT_GRAPHONS
-    return ExperimentConfig(
-        graphons={spec: parse_graphon_spec(spec) for spec in specs},
+    config = ExperimentConfig(
+        graphons={spec: parse_graphon_spec(spec)
+                  for spec in args.graphon or _DEFAULT_GRAPHONS},
         seeds=_parse_ints(args.seeds),
         panels=args.panels,
         basis=args.basis,
@@ -174,92 +235,34 @@ def _experiment_config(args) -> ExperimentConfig:
         resample_points=args.points,
         sorted_latent=not args.unsorted,
         **study)
+    # looked up per call, so that the runners can be rebound
+    runner = {"lowpass": experiments.run_lowpass,
+              "consensus": experiments.run_consensus,
+              "convergence": experiments.run_filter_convergence}[stem]
+    records, extra = runner(config)
+    # the records' NaN placeholders (convergence residuals, discrepancies
+    # of unchosen orders) are not measured values
+    design = stem != "convergence"
+    _check_finite([r.residual for r in records if design]
+                  + [r.l2_discrepancy for r in records
+                     if not design or r.order == args.order], args.command)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    experiments.records_to_csv(records, out / f"{stem}.csv")
+    if stem == "convergence":
+        for (label, n), mean in sorted(extra.items()):
+            print(f"{label} N={n}: mean discrepancy {mean:.6f}")
+    else:
+        curve_paths = experiments.curves_to_csv(extra, out, stem)
+        print(f"wrote {len(records)} records to {out / (stem + '.csv')} and "
+              f"{len(curve_paths)} curve files")
 
 
-def _run(args) -> int:
-    if args.command == "sample":
-        w = parse_graphon_spec(args.graphon)
-        g = sampling.sample_graph(w, args.n, args.seed,
-                                  sorted_latent=not args.unsorted)
-        sampling.graph_to_edgelist(g, args.out, latent_path=args.latent_out)
-        print(f"wrote {g.edge_count()} edges on {g.n} nodes to {args.out}")
-        return 0
-
-    if args.command == "fg-operator":
-        w = parse_graphon_spec(args.graphon)
-        op = galerkin.build_fg_shift(w, args.panels, args.basis)
-        _check_finite(op.entries, "operator")
-        galerkin.operator_to_csv(op, args.out)
-        print(f"wrote {op.size}x{op.size} operator to {args.out}")
-        return 0
-
-    if args.command == "solve":
-        w = parse_graphon_spec(args.graphon)
-        f = input_function(args.input)
-        y = galerkin.fredholm_solve(w, f, args.panels, args.basis, args.points)
-        _check_finite(y, "solve")
-        x = map_domain_inverse(np.linspace(-1.0, 1.0, args.points))
-        with open(args.out, "w") as fh:
-            fh.write("x,g\n")
-            for xi, yi in zip(x, y):
-                fh.write(f"{float(xi)!r},{float(yi)!r}\n")
-        print(f"wrote {args.points} solution points to {args.out}")
-        return 0
-
-    if args.command == "design":
-        w = parse_graphon_spec(args.graphon)
-        ideal = _parse_floats(args.ideal)
-        op = galerkin.build_fg_shift(w, args.panels, len(ideal))
-        result = filtering.design_filter(op, args.order,
-                                         filtering.IdealResponse(ideal),
-                                         rel_tol=args.svd_tol)
-        _check_finite(result.residual, "design residual")
-        print(json.dumps({"h": [float(v) for v in result.coeffs.h],
-                          "residual": result.residual,
-                          "rank_used": result.rank_used}, allow_nan=False))
-        if args.response_out:
-            h_mat = filtering.fg_filter_operator(op, result.coeffs)
-            np.savetxt(args.response_out,
-                       filtering.frequency_response(h_mat), delimiter=",")
-        return 0
-
-    if args.command == "homdensity":
-        if not 1 <= args.samples <= _MAX_SAMPLES:
-            raise ValueError(f"--samples must lie in 1..{_MAX_SAMPLES}, got {args.samples}")
-        motif = parse_motif_spec(args.motif)
-        w = parse_graphon_spec(args.graphon)
-        est = homdensity.hom_density_graphon(motif, w, args.samples, args.seed)
-        # JSON has no infinity: one sample gives no standard error
-        stderr = est.stderr if np.isfinite(est.stderr) else None
-        print(json.dumps({"estimate": est.estimate, "stderr": stderr,
-                          "samples": est.samples}, allow_nan=False))
-        return 0
-
-    if args.command.startswith("experiment:"):
-        stem = args.command.split(":")[1]
-        runner = {"lowpass": experiments.run_lowpass,
-                  "consensus": experiments.run_consensus,
-                  "convergence": experiments.run_filter_convergence}[stem]
-        records, extra = runner(_experiment_config(args))
-        # the records' NaN placeholders (convergence residuals, discrepancies
-        # of unchosen orders) are not measured values
-        design = stem != "convergence"
-        _check_finite([r.residual for r in records if design]
-                      + [r.l2_discrepancy for r in records
-                         if not design or r.order == args.order], args.command)
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        experiments.records_to_csv(records, out / f"{stem}.csv")
-        if stem == "convergence":
-            for (label, n), mean in sorted(extra.items()):
-                print(f"{label} N={n}: mean discrepancy {mean:.6f}")
-        else:
-            curve_paths = experiments.curves_to_csv(extra, out, stem)
-            print(f"wrote {len(records)} records to {out / (stem + '.csv')} and "
-                  f"{len(curve_paths)} curve files")
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command}")
+# one handler per subcommand; each raises to fail and returns None on success
+_HANDLERS = {"sample": _sample, "fg-operator": _fg_operator, "solve": _solve,
+             "design": _design, "homdensity": _homdensity,
+             "experiment:lowpass": _experiment, "experiment:consensus": _experiment,
+             "experiment:convergence": _experiment}
 
 
 def _check_finite(values, what: str) -> None:
@@ -270,13 +273,12 @@ def _check_finite(values, what: str) -> None:
 
 def dispatch(argv=None) -> int:
     """Parse arguments and run; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _run(args)
+        _HANDLERS[args.command](args)
     except FloatingPointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -286,6 +288,7 @@ def dispatch(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: input too large for memory: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def main() -> None:

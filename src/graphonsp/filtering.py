@@ -26,6 +26,7 @@ import numpy as np
 
 from .chebyshev import project_apply_resample
 from .galerkin import OperatorMatrix, build_fg_shift
+from .kernels import _real_copy
 from .sampling import Graph, apply_shift
 
 __all__ = [
@@ -43,11 +44,9 @@ __all__ = [
 
 
 def _finite_vector(values, what: str) -> np.ndarray:
-    """``values`` as a float vector; ValueError unless real, nonempty, 1-D and
-    finite."""
-    if np.iscomplexobj(values):
-        raise ValueError(f"{what} must be real")
-    v = np.asarray(values, dtype=float)
+    """``values`` as a read-only float vector of its own; ValueError unless
+    real, nonempty, 1-D and finite."""
+    v = _real_copy(values, what)
     if v.ndim != 1 or v.size < 1 or not np.all(np.isfinite(v)):
         raise ValueError(f"{what} must be a nonempty finite vector")
     return v
@@ -89,7 +88,7 @@ class DesignResult:
 
 def apply_graph_filter(g: Graph, h: FilterCoeffs, x: np.ndarray) -> np.ndarray:
     """y = sum_k h_k S^k x, S = A/N, by iterated shift application."""
-    x = np.asarray(x, dtype=float)
+    x = _real_copy(x, "signal")
     if x.shape != (g.n,):
         raise ValueError(f"signal length {x.shape} does not match operator size {g.n}")
     y = h.h[0] * x

@@ -51,7 +51,7 @@ import numpy as np
 from .chebyshev import (QuadratureRule, _check_basis_size, cheb_basis_matrix,
                         coefficient_normalizers, map_domain_inverse,
                         project_apply_resample)
-from .kernels import _BLOCK_VALUES, Graphon
+from .kernels import _BLOCK_VALUES, Graphon, _real_copy
 
 __all__ = [
     "OperatorMatrix",
@@ -76,10 +76,7 @@ class OperatorMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        if np.iscomplexobj(self.entries):
-            raise ValueError("operator entries must be real")
-        entries = np.array(self.entries, dtype=float)
-        entries.flags.writeable = False
+        entries = _real_copy(self.entries, "operator entries")
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.size == 0:
             raise ValueError("operator entries must form a nonempty square matrix, "
                              f"got shape {entries.shape}")

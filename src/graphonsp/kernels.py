@@ -54,6 +54,17 @@ def _check_range(values, lo, hi, message: str) -> None:
         raise ValueError(message)
 
 
+def _real_copy(values, what: str) -> np.ndarray:
+    """A read-only float64 copy of ``values``, bit for bit for real input;
+    ValueError("<what> must be real") for complex input, whose imaginary
+    part a cast to float would drop."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{what} must be real")
+    copy = np.array(values, dtype=float)
+    copy.flags.writeable = False
+    return copy
+
+
 @dataclass(frozen=True, eq=False)
 class Graphon:
     """Symmetric kernel W : [0,1]^2 -> [0,1], evaluated by the vectorized
@@ -166,7 +177,7 @@ def _grid_graphon(grid: np.ndarray, label: str) -> Graphon:
 def grid_graphon(grid: np.ndarray, label: str = "grid") -> Graphon:
     """Wrap a square symmetric matrix of values in [0,1] as a grid graphon
     that holds its own read-only copy of the values, symmetrised exactly."""
-    grid = np.array(grid, dtype=float)
+    grid = _real_copy(grid, "grid graphon values")
     if grid.size == 0:
         raise ValueError("grid graphon requires a nonempty matrix")
     if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:

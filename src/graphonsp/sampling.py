@@ -28,7 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import _BLOCK_VALUES, Graphon, _cells, _check_range, _read_csv
+from .kernels import (_BLOCK_VALUES, Graphon, _cells, _check_range, _read_csv,
+                      _real_copy)
 
 __all__ = [
     "Graph",
@@ -104,13 +105,12 @@ class Graph:
         a read-only float copy, ValueError unless it holds N finite values in
         [0, 1]; None stays None."""
         if latent is not None:
-            latent = np.array(latent, dtype=float)
+            latent = _real_copy(latent, "latent values")
             if latent.shape != (len(packed),):
                 raise ValueError(f"expected {len(packed)} latent values, one per "
                                  f"node, got shape {latent.shape}")
             _check_range(latent, 0.0, 1.0,
                          "latent values must be finite and lie in [0, 1]")
-            latent.flags.writeable = False
         packed.flags.writeable = False
         object.__setattr__(self, "packed", packed)
         object.__setattr__(self, "latent", latent)
@@ -230,7 +230,7 @@ def _scaled_matvec(m: np.ndarray, x) -> np.ndarray:
     bits at the sizes the studies use (100, 400, 500, 1600, 2000) but not at
     N = 2001, whose last block has one row.  Other BLAS builds are untested.
     """
-    x = np.asarray(x, dtype=float)
+    x = _real_copy(x, "signal")
     n = m.shape[0]
     if x.shape != (n,):
         raise ValueError(f"signal length {x.shape} does not match operator size {n}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Graphon, _cell_index, _check_range
+from .kernels import Graphon, _cell_index, _check_range, _real_copy
 from .sampling import _scaled_matvec
 
 __all__ = [
@@ -51,10 +51,9 @@ class StepSignal:
 
 def lift(x) -> StepSignal:
     """Lift a vector into the step basis; unlift(lift(x)) == x exactly."""
-    c = np.array(x, dtype=float)
+    c = _real_copy(x, "signal")
     if c.ndim != 1 or c.size == 0:
         raise ValueError("lift expects a nonempty vector")
-    c.flags.writeable = False
     return StepSignal(coeffs=c)
 
 

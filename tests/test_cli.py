@@ -1,3 +1,4 @@
+import argparse
 import json
 import shlex
 import warnings
@@ -533,3 +534,69 @@ class TestReadmeCommands:
         parser = _build_parser()
         for line in lines:
             parser.parse_args(shlex.split(line)[1:])
+
+
+def _subcommands():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+_STUDY = {"--graphon": (None, False), "--panels": (10, False), "--basis": (5, False),
+          "--input": ("x_plus_sin", False), "--points": (200, False),
+          "--unsorted": (False, False), "--out-dir": (None, True)}
+
+# each subcommand's options, without -h/--help, as (default, required)
+_SURFACE = {
+    "sample": {"--graphon": (None, True), "--n": (None, True), "--seed": (0, False),
+               "--unsorted": (False, False), "--out": (None, True),
+               "--latent-out": (None, False)},
+    "fg-operator": {"--graphon": (None, True), "--panels": (10, False),
+                    "--basis": (5, False), "--out": (None, True)},
+    "solve": {"--graphon": (None, True), "--panels": (10, False), "--basis": (5, False),
+              "--input": ("y", False), "--points": (200, False), "--out": (None, True)},
+    "design": {"--graphon": (None, True), "--order": (None, True),
+               "--ideal": (None, True), "--panels": (10, False),
+               "--svd-tol": (1e-8, False), "--response-out": (None, False)},
+    "homdensity": {"--motif": ("triangle", False), "--graphon": (None, True),
+                   "--samples": (100000, False), "--seed": (0, False)},
+    "experiment:lowpass": {"--n": (2000, False), "--order": (5, False),
+                           "--ideal": (None, False), "--seeds": ("0", False), **_STUDY},
+    "experiment:consensus": {"--n": (2000, False), "--order": (5, False),
+                             "--seeds": ("0", False), **_STUDY},
+    "experiment:convergence": {"--n-values": ("100,400,1600", False),
+                               "--taps": ("0.5,0.3,0.2", False),
+                               "--seeds": ("0,1,2,3,4", False), **_STUDY},
+}
+
+
+class TestSurface:
+    def test_subcommands(self):
+        assert list(_subcommands()) == list(_SURFACE)
+
+    @pytest.mark.parametrize("command", list(_SURFACE))
+    def test_options_and_defaults(self, command):
+        parser = _subcommands()[command]
+        options = {s: (a.default, a.required) for a in parser._actions
+                   for s in a.option_strings if s not in ("-h", "--help")}
+        assert options == _SURFACE[command]
+
+    def test_studies_take_repeatable_graphons(self):
+        for command in ("experiment:lowpass", "experiment:consensus",
+                        "experiment:convergence"):
+            args = _build_parser().parse_args(
+                [command, "--graphon", "er:0.5", "--graphon", "expdist:10",
+                 "--out-dir", "out"])
+            assert args.graphon == ["er:0.5", "expdist:10"]
+
+    @pytest.mark.parametrize("argv, message", [
+        # --samples, then --motif, then --graphon
+        (["--motif", "bogus", "--graphon", "bogus:1"], "error: unknown motif 'bogus'\n"),
+        (["--graphon", "bogus:1", "--samples", "0"],
+         "error: --samples must lie in 1..1000000000, got 0\n"),
+        (["--motif", "bogus", "--graphon", "bogus:1", "--samples", "0"],
+         "error: --samples must lie in 1..1000000000, got 0\n"),
+    ])
+    def test_homdensity_validation_order(self, capsys, argv, message):
+        assert dispatch(["homdensity", *argv]) == 2
+        assert capsys.readouterr().err == message

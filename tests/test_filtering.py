@@ -21,6 +21,12 @@ def operator_from_entries(entries):
 
 
 class TestApplyGraphFilter:
+    def test_complex_signal_is_refused(self):
+        # a cast to float would drop the imaginary part: [1j, 1, 1, 1] -> [0, 1, 1, 1]
+        g = sample_graph(erdos_renyi(0.5), 4, seed=0)
+        with pytest.raises(ValueError, match="signal must be real"):
+            apply_graph_filter(g, FilterCoeffs([1.0]), np.array([1j, 1, 1, 1]))
+
     def test_identity_filter(self):
         g = sample_graph(erdos_renyi(0.5), 20, seed=0)
         s = scaled_adjacency(g)
@@ -132,6 +138,16 @@ class TestFilterCoeffs:
     def test_taps_are_stored_as_floats(self):
         h = FilterCoeffs([1, 0, 2])
         assert h.h.dtype == float and h.order == 3
+
+    @pytest.mark.parametrize("make, field", [(FilterCoeffs, "h"), (IdealResponse, "d")])
+    def test_stored_vector_is_a_read_only_copy(self, make, field):
+        given = np.array([1.0, 2.0])
+        stored = getattr(make(given), field)
+        given[0] = 9.0
+        np.testing.assert_array_equal(stored, [1.0, 2.0])
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[1] = 0.0
 
 
 class TestFgFilterOperator:

@@ -142,6 +142,10 @@ class TestEvalAgainstFormulas:
 
 
 class TestValidation:
+    def test_complex_grid_is_refused(self):
+        with pytest.raises(ValueError, match="grid graphon values must be real"):
+            grid_graphon(np.array([[0.5 + 0.1j]]))
+
     def test_er_probability_range(self):
         with pytest.raises(ValueError):
             erdos_renyi(1.5)

@@ -197,6 +197,11 @@ class TestBitIdentity:
 
 
 class TestGraph:
+    def test_complex_latent_is_refused(self):
+        adj = np.array([[False, True], [True, False]])
+        with pytest.raises(ValueError, match="latent values must be real"):
+            Graph(adj, latent=np.array([0.1 + 0.5j, 0.2]))
+
     def test_holds_its_adjacency_and_latent_only(self):
         # the adjacency is held as packed rows; each read unpacks a fresh copy
         g = sample_graph(exp_sum(0.5), 7, seed=2)
@@ -422,6 +427,11 @@ class TestScaledAdjacency:
 
 
 class TestApplyShift:
+    def test_complex_signal_is_refused(self):
+        g = sample_graph(erdos_renyi(0.5), 4, seed=0)
+        with pytest.raises(ValueError, match="signal must be real"):
+            apply_shift(g, np.array([1j, 1, 1, 1]))
+
     def test_an_asymmetric_adjacency_never_reaches_it(self):
         adj = np.triu(np.ones((4, 4), dtype=bool), 1)
         with pytest.raises(ValueError, match="symmetric adjacency with zero diagonal"):

@@ -23,6 +23,10 @@ def multiplied_block_loop(grid, x):
 
 
 class TestLiftUnlift:
+    def test_complex_vector_is_refused(self):
+        with pytest.raises(ValueError, match="signal must be real"):
+            lift(np.array([1 + 2j, 3]))
+
     def test_roundtrip(self):
         x = np.array([1.0, 2.0, 3.0])
         np.testing.assert_array_equal(unlift(lift(x)), x)
