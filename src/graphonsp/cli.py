@@ -4,11 +4,12 @@ Each subcommand has one private handler, found in ``_HANDLERS``, that wires
 its flags to the library operations and writes plain CSV/JSON artifacts; a
 handler raises to fail and ``dispatch`` turns the exception into an exit
 code.  A flag that several subcommands share (``--graphon``, ``--panels``,
-``--basis``, ``--points``, ``--seed``, ``--unsorted``, ``--out``) is
-declared once in ``_build_parser`` and means the same, with the same
-default, in each.  Exit codes: 0 success, 1 numerical failure (non-finite
-result, nothing written), 2 usage or validation error or an input too large
-for memory.
+``--basis``, ``--points``, ``--seed``, ``--unsorted``, ``--out``) is one
+entry of the ``_SHARED_FLAGS`` table, which gives it the same meaning and
+default in each subcommand that names it.  Exit codes: 0 success, 1
+numerical failure (non-finite result, nothing written), 2 usage or
+validation error or an input too large for memory.  A failed run writes
+exactly one line, ``error: ...``, to stderr.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import experiments, filtering, galerkin, homdensity, kernels, sampling
 from .chebyshev import map_domain_inverse
-from .experiments import ExperimentConfig, input_function
+from .experiments import DESIGN_ORDERS, ExperimentConfig, input_function
 
 __all__ = ["main", "dispatch", "parse_graphon_spec", "parse_motif_spec"]
 
@@ -77,13 +79,18 @@ def _parse_ints(text: str) -> tuple:
     return tuple(int(v) for v in text.split(","))
 
 
-def _add_study_flags(p: argparse.ArgumentParser, seeds: str) -> None:
-    """Flags of the experiment:* subcommands that they alone take."""
-    p.add_argument("--graphon", action="append", default=None,
-                   help="repeatable; defaults to the three reference models")
-    p.add_argument("--seeds", default=seeds, help="comma list of seeds")
-    p.add_argument("--input", default="x_plus_sin")
-    p.add_argument("--out-dir", required=True)
+# Every flag that several subcommands share: its add_argument keywords.  It
+# means the same, with the same default, in each subcommand that names it,
+# and each of them gets an argparse action of its own.
+_SHARED_FLAGS = {
+    "graphon": {"required": True},
+    "panels": {"type": int, "default": 10},
+    "basis": {"type": int, "default": 5},
+    "points": {"type": int, "default": 200},
+    "seed": {"type": int, "default": 0},
+    "unsorted": {"action": "store_true", "help": "skip sorting the latent samples"},
+    "out": {"required": True},
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,23 +99,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Graphon signal processing: sampling, Fourier-Galerkin "
                     "operators, Fredholm solves, and filter design.")
     sub = parser.add_subparsers(dest="command", required=True)
-    # Each flag that several subcommands share is declared once, in a parent
-    # parser of its own, and copied into each subcommand that names it.  The
-    # copies share one action, so no subcommand may call set_defaults: that
-    # would rewrite the flag's default for all of them.
-    shared = {name: argparse.ArgumentParser(add_help=False) for name in
-              ("graphon", "panels", "basis", "points", "seed", "unsorted", "out")}
-    shared["graphon"].add_argument("--graphon", required=True)
-    shared["panels"].add_argument("--panels", type=int, default=10)
-    shared["basis"].add_argument("--basis", type=int, default=5)
-    shared["points"].add_argument("--points", type=int, default=200)
-    shared["seed"].add_argument("--seed", type=int, default=0)
-    shared["unsorted"].add_argument("--unsorted", action="store_true",
-                                    help="skip sorting the latent samples")
-    shared["out"].add_argument("--out", required=True)
 
     def add(command, summary, *flags):
-        return sub.add_parser(command, help=summary, parents=[shared[f] for f in flags])
+        p = sub.add_parser(command, help=summary)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
+        return p
 
     p = add("sample", "draw a random graph from a graphon",
             "graphon", "seed", "unsorted", "out")
@@ -135,21 +131,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--motif", default="triangle")
     p.add_argument("--samples", type=int, default=100000)
 
-    study_flags = ("panels", "basis", "points", "unsorted")
-    for study in ("lowpass", "consensus"):
-        p = add(f"experiment:{study}", f"run the {study} study", *study_flags)
-        p.add_argument("--n", type=int, default=2000)
-        p.add_argument("--order", type=int, default=5,
-                       help="design order whose curves are reported, 1..8")
+    for study, summary in (("lowpass", "run the lowpass study"),
+                           ("consensus", "run the consensus study"),
+                           ("convergence", "graph-to-graphon filter convergence sweep")):
+        p = add(f"experiment:{study}", summary, "panels", "basis", "points", "unsorted")
+        if study == "convergence":
+            p.add_argument("--n-values", default="100,400,1600")
+            p.add_argument("--taps", default="0.5,0.3,0.2")
+        else:
+            p.add_argument("--n", type=int, default=2000)
+            p.add_argument("--order", type=int, default=5,
+                           help=f"design order whose curves are reported, "
+                                f"{DESIGN_ORDERS[0]}..{DESIGN_ORDERS[-1]}")
         if study == "lowpass":
             p.add_argument("--ideal", default=None, help="comma list, diagonal of D")
-        _add_study_flags(p, seeds="0")
-
-    p = add("experiment:convergence", "graph-to-graphon filter convergence sweep",
-            *study_flags)
-    p.add_argument("--n-values", default="100,400,1600")
-    p.add_argument("--taps", default="0.5,0.3,0.2")
-    _add_study_flags(p, seeds="0,1,2,3,4")
+        p.add_argument("--graphon", action="append", default=None,
+                       help="repeatable; defaults to the three reference models")
+        p.add_argument("--seeds", default="0,1,2,3,4" if study == "convergence" else "0",
+                       help="comma list of seeds")
+        p.add_argument("--input", default="x_plus_sin")
+        p.add_argument("--out-dir", required=True)
     return parser
 
 
@@ -272,23 +273,36 @@ def _check_finite(values, what: str) -> None:
 
 
 def dispatch(argv=None) -> int:
-    """Parse arguments and run; returns the process exit code."""
-    try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        _HANDLERS[args.command](args)
-    except FloatingPointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        print(f"error: input too large for memory: {exc}", file=sys.stderr)
-        return 2
+    """Parse arguments and run; returns the process exit code.
+
+    Warnings are held for the whole run, pool threads included: a run that
+    fails prints only its ``error:`` line, and one that succeeds re-emits
+    them under the caller's filters.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        # recorded, never raised: the caller's filters apply on re-emission
+        warnings.simplefilter("default")
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        try:
+            _HANDLERS[args.command](args)
+        except FloatingPointError as exc:
+            return _fail(1, exc)
+        except (ValueError, OSError) as exc:
+            return _fail(2, exc)
+        except MemoryError as exc:
+            return _fail(2, f"input too large for memory: {exc}")
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                               source=w.source)
     return 0
+
+
+def _fail(code: int, message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

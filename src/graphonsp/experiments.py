@@ -24,8 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .chebyshev import map_domain_inverse, project_apply_resample
-from .filtering import (FilterCoeffs, IdealResponse, apply_graph_filter,
-                        design_filter, fg_filter_operator)
+from .filtering import (_ORDER_FLOOR, FilterCoeffs, IdealResponse,
+                        apply_graph_filter, design_filter, fg_filter_operator)
 from .galerkin import OperatorMatrix, build_fg_shift
 from .kernels import Graphon, _cell_index
 from .sampling import sample_graph
@@ -42,8 +42,9 @@ __all__ = [
     "curves_to_csv",
 ]
 
-# The design studies fit every order in this sweep.
-DESIGN_ORDERS = tuple(range(1, 9))
+# The design studies fit every order in this sweep: 1..8, every order that
+# design_filter allows at each basis size, whose powers filtering._power holds.
+DESIGN_ORDERS = tuple(range(1, _ORDER_FLOOR + 1))
 
 
 @dataclass(frozen=True, eq=False)

@@ -99,8 +99,8 @@ def apply_graph_filter(g: Graph, h: FilterCoeffs, x: np.ndarray) -> np.ndarray:
     return y
 
 
-# orders up to this are allowed at every basis size: experiments.DESIGN_ORDERS
-# sweeps 1..8, also at basis sizes 1 and 2
+# orders up to this are allowed at every basis size; experiments.DESIGN_ORDERS
+# is 1.._ORDER_FLOOR, swept also at basis sizes 1 and 2
 _ORDER_FLOOR = 8
 
 

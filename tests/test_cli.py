@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphonsp import experiments, filtering, galerkin, homdensity
+from graphonsp import cli, experiments, filtering, galerkin, homdensity
 from graphonsp.cli import (_build_parser, dispatch, parse_graphon_spec,
                            parse_motif_spec)
 from graphonsp.experiments import ExperimentRecord
@@ -441,10 +441,9 @@ class TestDispatch:
                 assert "error: chosen order" in capsys.readouterr().err
                 assert not out.exists()
 
-    # the taps overflow float64 on purpose
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     def test_experiment_non_finite_discrepancy_exits_1(self, tmp_path, capsys):
+        # the taps overflow float64 on purpose; numpy's overflow warnings,
+        # one of them raised in a pool thread, are not shown for a failed run
         out = tmp_path / "out"
         assert dispatch(["experiment:convergence", "--graphon", "er:1",
                          "--n-values", "10", "--seeds", "0",
@@ -454,6 +453,30 @@ class TestDispatch:
         assert captured.err == ("error: experiment:convergence produced "
                                 "non-finite values\n")
         assert not out.exists()
+
+    def test_a_successful_run_re_emits_its_warnings(self, tmp_path, monkeypatch):
+        def warn(args):
+            warnings.warn("from the handler", RuntimeWarning)
+
+        monkeypatch.setitem(cli._HANDLERS, "fg-operator", warn)
+        argv = ["fg-operator", "--graphon", "er:0.5", "--out", str(tmp_path / "op.csv")]
+        with pytest.warns(RuntimeWarning, match="from the handler"):
+            assert dispatch(argv) == 0
+
+    def test_a_failed_run_writes_only_its_error_line(self, tmp_path, monkeypatch,
+                                                     capsys):
+        def warn_then_fail(args):
+            warnings.warn("from the handler", RuntimeWarning)
+            warnings.warn("from the handler", UserWarning)
+            raise ValueError("refused")
+
+        monkeypatch.setitem(cli._HANDLERS, "fg-operator", warn_then_fail)
+        argv = ["fg-operator", "--graphon", "er:0.5", "--out", str(tmp_path / "op.csv")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert dispatch(argv) == 2
+        assert caught == []
+        assert capsys.readouterr().err == "error: refused\n"
 
     @pytest.mark.parametrize("residual, disc, code", [
         (0.5, 0.1, 0), (float("inf"), 0.1, 1), (0.5, float("nan"), 1)])
@@ -542,31 +565,33 @@ def _subcommands():
     return sub.choices
 
 
-_STUDY = {"--graphon": (None, False), "--panels": (10, False), "--basis": (5, False),
-          "--input": ("x_plus_sin", False), "--points": (200, False),
-          "--unsorted": (False, False), "--out-dir": (None, True)}
+def _study(seeds, own):
+    return {"--panels": (10, False), "--basis": (5, False), "--points": (200, False),
+            "--unsorted": (False, False), **own, "--graphon": (None, False),
+            "--seeds": (seeds, False), "--input": ("x_plus_sin", False),
+            "--out-dir": (None, True)}
 
-# each subcommand's options, without -h/--help, as (default, required)
+
+# each subcommand's options in the order --help lists them, without
+# -h/--help, as (default, required)
 _SURFACE = {
-    "sample": {"--graphon": (None, True), "--n": (None, True), "--seed": (0, False),
+    "sample": {"--graphon": (None, True), "--seed": (0, False),
                "--unsorted": (False, False), "--out": (None, True),
-               "--latent-out": (None, False)},
+               "--n": (None, True), "--latent-out": (None, False)},
     "fg-operator": {"--graphon": (None, True), "--panels": (10, False),
                     "--basis": (5, False), "--out": (None, True)},
     "solve": {"--graphon": (None, True), "--panels": (10, False), "--basis": (5, False),
-              "--input": ("y", False), "--points": (200, False), "--out": (None, True)},
-    "design": {"--graphon": (None, True), "--order": (None, True),
-               "--ideal": (None, True), "--panels": (10, False),
+              "--points": (200, False), "--out": (None, True), "--input": ("y", False)},
+    "design": {"--graphon": (None, True), "--panels": (10, False),
+               "--order": (None, True), "--ideal": (None, True),
                "--svd-tol": (1e-8, False), "--response-out": (None, False)},
-    "homdensity": {"--motif": ("triangle", False), "--graphon": (None, True),
-                   "--samples": (100000, False), "--seed": (0, False)},
-    "experiment:lowpass": {"--n": (2000, False), "--order": (5, False),
-                           "--ideal": (None, False), "--seeds": ("0", False), **_STUDY},
-    "experiment:consensus": {"--n": (2000, False), "--order": (5, False),
-                             "--seeds": ("0", False), **_STUDY},
-    "experiment:convergence": {"--n-values": ("100,400,1600", False),
-                               "--taps": ("0.5,0.3,0.2", False),
-                               "--seeds": ("0,1,2,3,4", False), **_STUDY},
+    "homdensity": {"--graphon": (None, True), "--seed": (0, False),
+                   "--motif": ("triangle", False), "--samples": (100000, False)},
+    "experiment:lowpass": _study("0", {"--n": (2000, False), "--order": (5, False),
+                                       "--ideal": (None, False)}),
+    "experiment:consensus": _study("0", {"--n": (2000, False), "--order": (5, False)}),
+    "experiment:convergence": _study("0,1,2,3,4", {
+        "--n-values": ("100,400,1600", False), "--taps": ("0.5,0.3,0.2", False)}),
 }
 
 
@@ -580,6 +605,23 @@ class TestSurface:
         options = {s: (a.default, a.required) for a in parser._actions
                    for s in a.option_strings if s not in ("-h", "--help")}
         assert options == _SURFACE[command]
+
+    @pytest.mark.parametrize("command", list(_SURFACE))
+    def test_options_in_declaration_order(self, command):
+        # the order of --help, of the usage line and of argparse's list of
+        # missing required arguments
+        parser = _subcommands()[command]
+        options = [s for a in parser._actions for s in a.option_strings]
+        assert options == ["-h", "--help", *_SURFACE[command]]
+
+    def test_no_action_belongs_to_two_subcommands(self):
+        # a shared action would carry one subcommand's set_defaults to all
+        owners = {}
+        for command, parser in _subcommands().items():
+            for action in parser._actions:
+                assert owners.setdefault(id(action), command) == command, (
+                    f"{action.option_strings} of {command} belongs to "
+                    f"{owners[id(action)]}")
 
     def test_studies_take_repeatable_graphons(self):
         for command in ("experiment:lowpass", "experiment:consensus",

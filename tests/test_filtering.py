@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from graphonsp import filtering
+from graphonsp.experiments import DESIGN_ORDERS
 from graphonsp.filtering import (FilterCoeffs, IdealResponse, apply_graph_filter,
                                  design_filter, fg_filter_operator,
                                  filter_pipeline, frequency_response,
@@ -397,6 +398,10 @@ def cached_powers(op):
 
 class TestPowerCache:
     """W^0..W^8 of the last operator are cached, read-only, by ``_power``."""
+
+    def test_cache_holds_the_powers_of_every_swept_order(self):
+        # W^0 and the powers of experiments.DESIGN_ORDERS
+        assert filtering._power.cache_info().maxsize == len(DESIGN_ORDERS) + 1
 
     def test_alternating_operators_and_orders_give_the_fresh_bits(self):
         ops = [build_fg_shift(sin_product(0.5, 0.5, 3.5), 10, 5),
