@@ -8,7 +8,11 @@ are formed explicitly.
 Filter design solves min_h || sum_{k=1}^{K} h_k W^k - D ||_F by least
 squares on the vectorized system whose k-th column is vec(W^k).  The
 power-polynomial columns make the system ill-conditioned, so the solve
-goes through a truncated-SVD pseudoinverse.  Only the positive powers
+goes through a truncated-SVD pseudoinverse.  One QR of the order-8 power
+matrix A_8 = QR serves every order up to 8: A_K = Q R[:, :K], so A_K and
+R[:, :K] share their singular values and right singular vectors, and the
+pseudoinverse solve is a K x K SVD of R's leading columns against Q^T b,
+with the same rank rule as an SVD of A_K itself.  Only the positive powers
 enter the design: the shift operator is what the graph can actually
 implement, and the reported unreachability bounds (e.g. a constant
 kernel cannot touch any nonconstant frequency) hold in that space.  The
@@ -99,8 +103,9 @@ def apply_graph_filter(g: Graph, h: FilterCoeffs, x: np.ndarray) -> np.ndarray:
     return y
 
 
-# orders up to this are allowed at every basis size; experiments.DESIGN_ORDERS
-# is 1.._ORDER_FLOOR, swept also at basis sizes 1 and 2
+# orders up to this are allowed at every basis size, and served by one QR
+# factor per operator; experiments.DESIGN_ORDERS is 1.._ORDER_FLOOR, swept
+# also at basis sizes 1 and 2
 _ORDER_FLOOR = 8
 
 
@@ -127,6 +132,33 @@ def _powers(w_op: OperatorMatrix):
     for k in itertools.count():
         power = _power(w_op, k) if k <= _ORDER_FLOOR else power @ w_op.entries
         yield power
+
+
+def _stacked_qr(w_op: OperatorMatrix, order: int):
+    """(Q, R), read-only, of A = [vec(W^1) ... vec(W^order)] = QR, Q with
+    min(n^2, order) orthonormal columns; ValueError if a power is not finite."""
+    a = np.empty((w_op.size ** 2, order))
+    # W^0 is not a column, and islice forms no power past W^order
+    for k, power in enumerate(itertools.islice(_powers(w_op), 1, order + 1), start=1):
+        if not np.all(np.isfinite(power)):
+            raise ValueError(f"power W^{k} of the shift operator is not finite")
+        a[:, k - 1] = power.reshape(-1)
+    q, r = np.linalg.qr(a)
+    q.flags.writeable = False
+    r.flags.writeable = False
+    return q, r
+
+
+@functools.lru_cache(maxsize=1)
+def _power_qr(w_op: OperatorMatrix):
+    """(Q, R) of the order-_ORDER_FLOOR power matrix of the last operator.
+
+    Every design of order <= 8 on the operator reads it: 8 * 8n^2 bytes of Q
+    and 8 * min(n^2, 8) * 8 of R, 640 kB at n=100.  The stacked matrix is
+    not kept.  Keyed by the operator object, like ``_power``; a non-finite
+    power raises, and ``lru_cache`` keeps no exception.
+    """
+    return _stacked_qr(w_op, _ORDER_FLOOR)
 
 
 def fg_filter_operator(w_op: OperatorMatrix, h: FilterCoeffs) -> np.ndarray:
@@ -160,13 +192,22 @@ def design_filter(w_op: OperatorMatrix, order: int, d: IdealResponse,
     Solves h = A^+ b with A = [vec(W) ... vec(W^order)] and b = vec(diag(d))
     via the truncated-SVD pseudoinverse (the minimum-norm minimizer on the
     retained subspace; rank deficiency is handled by truncation, and only
-    the residual is contracted).  The residual ||A h - b||_2 equals the
-    Frobenius misfit of the filter matrix against D.
+    the residual is contracted).  With A = QR, A^+ b = R^+ (Q^T b), so the
+    SVD is of R's order x order block alone, and its rank is the number of
+    singular values above rel_tol * sigma_max, those of A.  The residual
+    ||Q (R h) - b||_2 equals the Frobenius misfit of the filter matrix
+    against D.
+
+    Orders up to 8 read one factor of the order-8 matrix per operator,
+    cached by ``_power_qr``; so a single design of a lower order forms the
+    powers up to W^8 (three extra n^3 products at order 5, ~0.1 ms at
+    n=100).  A higher order factors its own matrix and caches nothing.
 
     The order is refused above max(n^2, 8) before any power is formed.  n^2
     is the row count of A, and by Cayley-Hamilton its rank is at most n
     already, so further columns cannot lower the residual; orders up to 8,
     the design studies' sweep, are cheap at any n and always allowed.
+    ValueError if a power of W is not finite.
     """
     bound = max(w_op.size ** 2, _ORDER_FLOOR)
     if not 1 <= order <= bound:
@@ -175,13 +216,11 @@ def design_filter(w_op: OperatorMatrix, order: int, d: IdealResponse,
     if len(d.d) != w_op.size:
         raise ValueError(f"ideal response length {len(d.d)} does not match "
                          f"operator size {w_op.size}")
-    cols = np.empty((w_op.size ** 2, order))  # vec(W^1) .. vec(W^order)
-    # W^0 is not a column, and islice forms no power past W^order
-    for k, power in enumerate(itertools.islice(_powers(w_op), 1, order + 1)):
-        cols[:, k] = power.reshape(-1)
+    q, r = _power_qr(w_op) if order <= _ORDER_FLOOR else _stacked_qr(w_op, order)
+    r = r[:, :order]
     b = d.matrix().reshape(-1)
-    h_tail, rank = _truncated_svd_solve(cols, b, rel_tol)
-    residual = float(np.linalg.norm(cols @ h_tail - b))
+    h_tail, rank = _truncated_svd_solve(r, q.T @ b, rel_tol)
+    residual = float(np.linalg.norm(q @ (r @ h_tail) - b))
     coeffs = FilterCoeffs(np.concatenate([[0.0], h_tail]))
     return DesignResult(coeffs=coeffs, residual=residual, rank_used=rank)
 

@@ -283,6 +283,27 @@ class TestDesignFilter:
         assert len(result.coeffs.h) == order + 1
         assert 1 <= result.rank_used <= n
 
+    @pytest.mark.parametrize("order", [1, 8, 9])
+    def test_non_finite_operator_is_refused_and_nothing_is_cached(self, order):
+        op = operator_from_entries(np.full((3, 3), np.nan))
+        design_filter(build_fg_shift(exp_sum(0.5), 10, 3), 2, IdealResponse([1.0, 0.0, 0.0]))
+        cached = filtering._power_qr.cache_info().currsize
+        before = factor_misses()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"power W\^1 of the shift operator "
+                                                 r"is not finite"):
+                design_filter(op, order, IdealResponse([1.0, 0.0, 0.0]))
+        # each call factors again: the failure was not cached
+        assert factor_misses() == before + 2 * (order <= 8)
+        assert filtering._power_qr.cache_info().currsize == cached
+
+    def test_overflowing_power_is_refused_by_its_order(self):
+        op = operator_from_entries([[1e200, 0.0], [0.0, 1.0]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match=r"power W\^2 of the shift operator "
+                                                 r"is not finite"):
+                design_filter(op, 5, IdealResponse([1.0, 0.0]))
+
     @pytest.mark.parametrize("w", [erdos_renyi(0.5), exp_distance(10.0),
                                    sin_product(0.5, 0.5, 3.5)], ids=lambda w: w.label)
     def test_taps_and_rank_are_those_of_the_pseudoinverse(self, w):
@@ -298,6 +319,55 @@ class TestDesignFilter:
                                    rtol=1e-10, atol=1e-10 * np.abs(result.coeffs.h).max())
         s = np.linalg.svd(cols, compute_uv=False)
         assert result.rank_used == np.count_nonzero(s > 1e-8 * s[0])
+
+
+def padded(values, n):
+    """IdealResponse of length n: ``values``, cut or padded with zeros."""
+    d = np.zeros(n)
+    d[:min(n, len(values))] = values[:n]
+    return IdealResponse(d)
+
+
+TARGETS = {"lowpass": [1.0, 5.0, 5.0, 10.0], "consensus": [1.0]}
+OPERATOR_KERNELS = [erdos_renyi(0.5), exp_sum(0.5), sin_product(0.5, 0.5, 3.5),
+                    exp_distance(10.0)]
+
+
+class TestDesignOracle:
+    """Every design order against ``truncated_svd_pinv`` of freshly stacked
+    powers: equal ranks, residuals within 1e-10 relative (1e-12 ||b||
+    absolute where the target is reached and both are roundoff), taps within
+    1e-7 max|h|."""
+
+    @staticmethod
+    def check_orders(op, d):
+        b = d.matrix().reshape(-1)
+        powers = fresh_powers(op.entries, 9)[1:]
+        for k in range(1, 9):
+            cols = np.stack([p.reshape(-1) for p in powers[:k]], axis=1)
+            # (A^T)^+ = (A^+)^T, with the same singular values; A^+ itself
+            # would multiply by an n^2 x n^2 identity
+            h = truncated_svd_pinv(cols.T).T @ b
+            s = np.linalg.svd(cols, compute_uv=False)
+            result = design_filter(op, k, d)
+            assert result.rank_used == np.count_nonzero(s > 1e-8 * s[0])
+            assert result.residual == pytest.approx(np.linalg.norm(cols @ h - b), rel=1e-10,
+                                                    abs=1e-12 * np.linalg.norm(b))
+            np.testing.assert_allclose(result.coeffs.h[1:], h, rtol=0,
+                                       atol=1e-7 * np.abs(h).max())
+
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize("w", OPERATOR_KERNELS, ids=lambda w: w.label)
+    def test_operator_benchmark_size(self, w, target):
+        # p=1000, n=100: the operator benchmark's operators and targets
+        self.check_orders(build_fg_shift(w, 1000, 100), padded(TARGETS[target], 100))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize("w", OPERATOR_KERNELS, ids=lambda w: w.label)
+    def test_wide_systems(self, w, target, n):
+        # n^2 < 8 rows: Q is square and R is n^2 x 8
+        self.check_orders(build_fg_shift(w, 10, n), padded(TARGETS[target], n))
 
 
 class TestFrequencyResponse:
@@ -364,12 +434,21 @@ def fresh_powers(entries, count):
     return powers
 
 
+def fresh_factor(entries, order):
+    """Uncached QR of the freshly stacked powers W^1..W^order."""
+    powers = fresh_powers(entries, order + 1)[1:]
+    return np.linalg.qr(np.stack([p.reshape(-1) for p in powers], axis=1))
+
+
 def fresh_design(entries, order, d, rel_tol=1e-8):
-    """design_filter's taps, residual and rank from fresh stacked powers."""
-    cols = np.stack([p.reshape(-1) for p in fresh_powers(entries, order + 1)[1:]], axis=1)
+    """design_filter's taps, residual and rank from the fresh factor of
+    W^1..W^8 (W^1..W^order above 8) and the pseudoinverse solve on R's
+    first ``order`` columns."""
+    q, r = fresh_factor(entries, max(order, 8))
+    r = r[:, :order]
     b = d.matrix().reshape(-1)
-    h_tail, rank = filtering._truncated_svd_solve(cols, b, rel_tol)
-    residual = float(np.linalg.norm(cols @ h_tail - b))
+    h_tail, rank = filtering._truncated_svd_solve(r, q.T @ b, rel_tol)
+    residual = float(np.linalg.norm(q @ (r @ h_tail) - b))
     return np.concatenate([[0.0], h_tail]).tobytes(), residual, rank
 
 
@@ -378,13 +457,20 @@ def design_bits(result):
 
 
 def lowpass(n):
-    d = np.zeros(n)
-    d[:min(n, 4)] = [1.0, 5.0, 5.0, 10.0][:min(n, 4)]
-    return IdealResponse(d)
+    return padded(TARGETS["lowpass"], n)
 
 
 def power_misses():
     return filtering._power.cache_info().misses
+
+
+def factor_misses():
+    return filtering._power_qr.cache_info().misses
+
+
+def factor_bytes(n):
+    """Q's and R's bytes of the order-8 factor at basis size n."""
+    return 8 * 8 * n * n + 8 * min(n * n, 8) * 8
 
 
 def cached_powers(op):
@@ -397,7 +483,8 @@ def cached_powers(op):
 
 
 class TestPowerCache:
-    """W^0..W^8 of the last operator are cached, read-only, by ``_power``."""
+    """W^0..W^8 of the last operator are cached, read-only, by ``_power``,
+    and the QR factor of its order-8 power matrix by ``_power_qr``."""
 
     def test_cache_holds_the_powers_of_every_swept_order(self):
         # W^0 and the powers of experiments.DESIGN_ORDERS
@@ -431,12 +518,13 @@ class TestPowerCache:
                 got[0, 0] = 0.5
 
     def test_filter_operator_reads_the_powers_its_design_formed(self):
+        # an order-5 design forms W^0..W^8 for the factor it reads
         op = build_fg_shift(exp_distance(10.0), 10, 5)
         before = power_misses()
         result = design_filter(op, 5, lowpass(5))
-        assert power_misses() == before + 6
+        assert power_misses() == before + 9
         got = fg_filter_operator(op, result.coeffs)
-        assert power_misses() == before + 6
+        assert power_misses() == before + 9
         want = sum(hk * p for hk, p in zip(result.coeffs.h, fresh_powers(op.entries, 6)))
         assert got.tobytes() == want.tobytes()
 
@@ -451,7 +539,7 @@ class TestPowerCache:
         assert power_misses() == before
         # the cache is keyed by the operator object, not by its values
         design_filter(OperatorMatrix(entries=op.entries), 4, lowpass(5))
-        assert power_misses() == before + 5
+        assert power_misses() == before + 9
 
     @pytest.mark.parametrize("p, n", [(10, 5), (1000, 100)])
     def test_pipeline_after_the_order_sweep_forms_no_power(self, p, n):
@@ -467,9 +555,11 @@ class TestPowerCache:
 
     @pytest.mark.parametrize("order", [8, 50, 400])
     def test_cache_holds_at_most_nine_powers_whatever_the_order(self, order):
+        # and the order-8 factor, which only orders up to 8 cache
         n = 20
         op = build_fg_shift(exp_distance(10.0), 64, n)
         filtering._power.cache_clear()
+        filtering._power_qr.cache_clear()
         tracemalloc.start()
         try:
             design_filter(op, order, lowpass(n))
@@ -478,11 +568,50 @@ class TestPowerCache:
             tracemalloc.stop()
         assert filtering._power.cache_info().currsize == 9
         assert sum(p.nbytes for p in cached_powers(op)) == 9 * 8 * n * n
-        assert held < 9 * 8 * n * n + 2 ** 14
+        factor = factor_bytes(n) if order <= 8 else 0
+        assert filtering._power_qr.cache_info().currsize == (order <= 8)
+        if order <= 8:
+            assert sum(a.nbytes for a in filtering._power_qr(op)) == factor
+        assert held < 9 * 8 * n * n + factor + 2 ** 14
+
+    @pytest.mark.parametrize("p, n", [(10, 5), (1000, 100)])
+    def test_the_operator_chain_factors_once(self, p, n):
+        # a build, the designs at orders 1..8 and the pipeline at order 5
+        w, f, d = exp_sum(0.5), (lambda x: x), lowpass(n)
+        before = factor_misses()
+        op = build_fg_shift(w, p, n)
+        for k in range(1, 9):
+            design_filter(op, k, d)
+        filter_pipeline(w, f, 5, d, p, n, 50)
+        assert factor_misses() == before + 1
+
+    @pytest.mark.parametrize("order", [9, 12, 25])
+    def test_orders_past_the_cache_leave_the_factor_in_place(self, order):
+        op = build_fg_shift(sin_product(0.5, 0.5, 3.5), 10, 5)
+        d = lowpass(5)
+        design_filter(op, 3, d)
+        q, r = filtering._power_qr(op)
+        before = factor_misses()
+        design_filter(op, order, d)
+        assert factor_misses() == before
+        again = filtering._power_qr(op)
+        assert again[0] is q and again[1] is r
+        assert design_bits(design_filter(op, 3, d)) == fresh_design(op.entries, 3, d)
+        assert factor_misses() == before
+
+    def test_factor_is_read_only(self):
+        op = build_fg_shift(exp_distance(10.0), 10, 5)
+        design_filter(op, 2, lowpass(5))
+        q, r = filtering._power_qr(op)
+        assert q.shape == (25, 8) and r.shape == (8, 8)
+        for a in (q, r):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0.5
 
     def test_threads_sharing_one_operator_give_the_serial_bits(self):
-        # one operator with no power cached at the start: concurrent designs
-        # and filters race to form and cache the same powers
+        # one operator with no power and no factor cached at the start:
+        # concurrent designs and filters race to form and cache the same
+        # powers and the same QR factor
         entries = build_fg_shift(sin_product(0.5, 0.5, 3.5), 64, 16).entries
         d = lowpass(16)
         taps = [FilterCoeffs(np.linspace(1.0, 0.1, m)) for m in (3, 9, 12)]
@@ -492,6 +621,7 @@ class TestPowerCache:
         expected = [fn(serial, *args) for fn, *args in jobs]
         shared = OperatorMatrix(entries=entries)
         filtering._power.cache_clear()
+        filtering._power_qr.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -508,3 +638,6 @@ class TestPowerCache:
         for got_power, want in zip(cached_powers(shared), fresh_powers(entries, 9)):
             assert got_power.tobytes() == want.tobytes()
             assert not got_power.flags.writeable
+        want_q, want_r = fresh_factor(entries, 8)
+        got_q, got_r = filtering._power_qr(shared)
+        assert (got_q.tobytes(), got_r.tobytes()) == (want_q.tobytes(), want_r.tobytes())
