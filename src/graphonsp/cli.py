@@ -226,9 +226,12 @@ def _experiment(args) -> None:
         study = {"node_counts": (args.n,), "chosen_order": args.order}
     if stem == "lowpass" and args.ideal:
         study["ideal"] = _parse_floats(args.ideal)
+    specs = args.graphon or _DEFAULT_GRAPHONS
+    # the labels key a dict, which would merge a repeated spec silently
+    if len(set(specs)) != len(specs):
+        raise ValueError(f"graphons must be distinct, got {list(specs)}")
     config = ExperimentConfig(
-        graphons={spec: parse_graphon_spec(spec)
-                  for spec in args.graphon or _DEFAULT_GRAPHONS},
+        graphons={spec: parse_graphon_spec(spec) for spec in specs},
         seeds=_parse_ints(args.seeds),
         panels=args.panels,
         basis=args.basis,

@@ -43,8 +43,8 @@ __all__ = [
 ]
 
 # The design studies fit every order in this sweep: 1..8, every order that
-# design_filter allows at each basis size, whose powers filtering._power holds
-# and which all read one QR factor per operator, filtering._power_qr's.
+# design_filter allows at each basis size, which all read one QR factor per
+# operator, filtering._power_qr's.
 DESIGN_ORDERS = tuple(range(1, _ORDER_FLOOR + 1))
 
 

@@ -3,7 +3,7 @@
 Graph-side filtering iterates the shift action and never materializes
 matrix powers (the graph can have thousands of nodes); graphon-side
 filtering works with the small Fourier-Galerkin operator, where powers
-are formed explicitly.
+are formed explicitly, per call.
 
 Filter design solves min_h || sum_{k=1}^{K} h_k W^k - D ||_F by least
 squares on the vectorized system whose k-th column is vec(W^k).  The
@@ -12,7 +12,8 @@ goes through a truncated-SVD pseudoinverse.  One QR of the order-8 power
 matrix A_8 = QR serves every order up to 8: A_K = Q R[:, :K], so A_K and
 R[:, :K] share their singular values and right singular vectors, and the
 pseudoinverse solve is a K x K SVD of R's leading columns against Q^T b,
-with the same rank rule as an SVD of A_K itself.  Only the positive powers
+with the same rank rule as an SVD of A_K itself.  That factor, one per
+operator, is the module's only cache.  Only the positive powers
 enter the design: the shift operator is what the graph can actually
 implement, and the reported unreachability bounds (e.g. a constant
 kernel cannot touch any nonconstant frequency) hold in that space.  The
@@ -109,29 +110,11 @@ def apply_graph_filter(g: Graph, h: FilterCoeffs, x: np.ndarray) -> np.ndarray:
 _ORDER_FLOOR = 8
 
 
-@functools.lru_cache(maxsize=_ORDER_FLOOR + 1)
-def _power(w_op: OperatorMatrix, k: int) -> np.ndarray:
-    """W^k, read-only: W^0 = I, and each power is the one before times W.
-
-    The cache holds the 9 powers used last, room for W^0..W^_ORDER_FLOOR
-    of one operator, at most 9 n^2 * 8 bytes (720 kB at n=100), so the
-    design studies' orders and the filter built from the chosen design
-    share their products.  The powers, and their operator, stay alive until
-    powers of another operator evict them.  The key is the operator object
-    itself, which is sound because ``OperatorMatrix`` compares by identity
-    and its entries are a read-only copy.
-    """
-    power = np.eye(w_op.size) if k == 0 else _power(w_op, k - 1) @ w_op.entries
-    power.flags.writeable = False
-    return power
-
-
 def _powers(w_op: OperatorMatrix):
-    """W^0 = I, W^1, W^2, ...: W^0..W^_ORDER_FLOOR from ``_power``; higher
-    powers are formed per call, each the one before times W, and dropped."""
-    for k in itertools.count():
-        power = _power(w_op, k) if k <= _ORDER_FLOOR else power @ w_op.entries
-        yield power
+    """W^0 = I, W^1, W^2, ...: each power the one before times W, formed
+    per call and dropped by the caller."""
+    return itertools.accumulate(itertools.repeat(w_op.entries), np.matmul,
+                                initial=np.eye(w_op.size))
 
 
 def _stacked_qr(w_op: OperatorMatrix, order: int):
@@ -155,8 +138,11 @@ def _power_qr(w_op: OperatorMatrix):
 
     Every design of order <= 8 on the operator reads it: 8 * 8n^2 bytes of Q
     and 8 * min(n^2, 8) * 8 of R, 640 kB at n=100.  The stacked matrix is
-    not kept.  Keyed by the operator object, like ``_power``; a non-finite
-    power raises, and ``lru_cache`` keeps no exception.
+    not kept.  The key is the operator object itself, which is sound
+    because ``OperatorMatrix`` compares by identity and its entries are a
+    read-only copy; the factor, and its operator, stay alive until a factor
+    of another operator evicts them.  A non-finite power raises, and
+    ``lru_cache`` keeps no exception.
     """
     return _stacked_qr(w_op, _ORDER_FLOOR)
 
@@ -167,9 +153,10 @@ def fg_filter_operator(w_op: OperatorMatrix, h: FilterCoeffs) -> np.ndarray:
     return sum(hk * power for hk, power in zip(h.h, _powers(w_op)))
 
 
-def _truncated_svd_solve(a: np.ndarray, b: np.ndarray, rel_tol: float):
-    """(x, rank): x = A^+ b by the thin SVD of a, keeping the rank singular
-    values above rel_tol * sigma_max (none when a is zero)."""
+def _truncated_svd(a: np.ndarray, rel_tol: float):
+    """(V_r / sigma_r, U_r, r) of the thin SVD of a, keeping the r singular
+    values above rel_tol * sigma_max (none when a is zero): A^+ is
+    (V_r / sigma_r) U_r^T."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("pseudoinverse requires a nonempty matrix")
@@ -177,12 +164,13 @@ def _truncated_svd_solve(a: np.ndarray, b: np.ndarray, rel_tol: float):
         raise ValueError("rel_tol must lie in (0, 1)")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     keep = s > rel_tol * s[0]
-    return (vt[keep].T / s[keep]) @ (u[:, keep].T @ b), int(keep.sum())
+    return vt[keep].T / s[keep], u[:, keep], int(keep.sum())
 
 
 def truncated_svd_pinv(a: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
     """Moore-Penrose pseudoinverse, singular values below rel_tol * sigma_max zeroed."""
-    return _truncated_svd_solve(a, np.eye(len(np.atleast_2d(a))), rel_tol)[0]
+    v_scaled, u, _ = _truncated_svd(a, rel_tol)
+    return v_scaled @ u.T
 
 
 def design_filter(w_op: OperatorMatrix, order: int, d: IdealResponse,
@@ -219,7 +207,8 @@ def design_filter(w_op: OperatorMatrix, order: int, d: IdealResponse,
     q, r = _power_qr(w_op) if order <= _ORDER_FLOOR else _stacked_qr(w_op, order)
     r = r[:, :order]
     b = d.matrix().reshape(-1)
-    h_tail, rank = _truncated_svd_solve(r, q.T @ b, rel_tol)
+    v_scaled, u, rank = _truncated_svd(r, rel_tol)
+    h_tail = v_scaled @ (u.T @ (q.T @ b))
     residual = float(np.linalg.norm(q @ (r @ h_tail) - b))
     coeffs = FilterCoeffs(np.concatenate([[0.0], h_tail]))
     return DesignResult(coeffs=coeffs, residual=residual, rank_used=rank)
@@ -248,8 +237,9 @@ def filter_pipeline(w, f, order: int, d: IdealResponse, p: int, n: int,
     Returns the designed coefficients, the design residual, the filtered
     output at t_points uniform points, and the frequency response H @ 1.
     The shift operator is ``build_fg_shift``'s: when ``w`` was just built
-    at (p, n) it is that same object, and the powers formed for designs on
-    it are reused.
+    at (p, n) it is that same object, and a design of order <= 8 on it
+    reads the QR factor the earlier designs formed.  The filter matrix
+    forms its powers afresh.
     """
     w_op = build_fg_shift(w, p, n)
     design = design_filter(w_op, order, d)

@@ -37,8 +37,8 @@ Two one-entry caches serve callers that work at one (p, n) in a row.
 next kernel.  ``_shift`` keeps the last shift operator itself, keyed by
 (graphon, p, n): ``build_fg_shift``, ``fredholm_solve`` and
 ``filtering.filter_pipeline`` on one graphon share that one
-``OperatorMatrix``, so its kernel is evaluated once and the powers
-``filtering`` caches for it are formed once.
+``OperatorMatrix``, so its kernel is evaluated once and the QR factor
+of its powers that ``filtering`` caches for it is formed once.
 """
 
 from __future__ import annotations
@@ -68,9 +68,9 @@ class OperatorMatrix:
     """Square operator matrix in the Chebyshev basis.
 
     ``entries`` is stored as a read-only float64 copy of what is given, so
-    that no caller can change the values under the powers ``filtering``
-    caches for the operator.  ValueError unless the entries form a real,
-    nonempty square matrix; non-finite values are kept.
+    that no caller can change the values under the QR factor of its powers
+    that ``filtering`` caches for the operator.  ValueError unless the
+    entries form a real, nonempty square matrix; non-finite values are kept.
     """
 
     entries: np.ndarray
@@ -170,13 +170,13 @@ def _shift(w: Graphon, p: int, n: int) -> OperatorMatrix:
     One entry is kept: a build, the Fredholm solve and the filter pipeline
     that follow it on the same graphon at the same (p, n) get this one
     object, so they evaluate the kernel once between them and share the
-    powers ``filtering`` caches for it.  The key is the graphon object
-    itself (``Graphon`` compares by identity), which is sound because a
-    graphon's values are immutable after construction; the cache holds a
-    strong reference, so the object's id cannot be reused while it is
-    cached.  It keeps alive one n x n array and the last graphon with what
-    its closure holds: for an empirical graphon, the graph's packed
-    adjacency rows (32 MB at ``sampling.MAX_NODES``).
+    QR factor of its powers that ``filtering`` caches for it.  The key is
+    the graphon object itself (``Graphon`` compares by identity), which is
+    sound because a graphon's values are immutable after construction; the
+    cache holds a strong reference, so the object's id cannot be reused
+    while it is cached.  It keeps alive one n x n array and the last
+    graphon with what its closure holds: for an empirical graphon, the
+    graph's packed adjacency rows (32 MB at ``sampling.MAX_NODES``).
     """
     return OperatorMatrix(_galerkin(w, *_factors(p, n))
                           / (2.0 * coefficient_normalizers(n))[:, None])

@@ -295,6 +295,26 @@ class TestDispatch:
             assert "error: seeds must be distinct" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("study, flags", [
+        ("convergence", ["--n-values", "10,20", "--seeds", "0,1"]),
+        ("lowpass", ["--n", "10", "--seeds", "0"]),
+        ("consensus", ["--n", "10", "--seeds", "0"])])
+    def test_repeated_graphon_exits_2_before_any_spec_is_parsed(self, tmp_path,
+                                                                monkeypatch, capsys,
+                                                                study, flags):
+        # the labels key a dict, which would keep one graphon's records
+        monkeypatch.setattr(cli, "parse_graphon_spec",
+                            lambda spec: pytest.fail("spec parsed"))
+        out = tmp_path / "out"
+        specs = ["er:0.5", "expdist:10", "er:0.5"]
+        assert dispatch([f"experiment:{study}", *flags,
+                         *[a for spec in specs for a in ("--graphon", spec)],
+                         "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: graphons must be distinct, got {specs}\n"
+        assert not out.exists()
+
     def test_graphons_sharing_a_curve_file_name_exit_2(self, tmp_path, capsys):
         specs = []
         for name in ("g_1.csv", "g-1.csv"):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from graphonsp import filtering
-from graphonsp.experiments import DESIGN_ORDERS
 from graphonsp.filtering import (FilterCoeffs, IdealResponse, apply_graph_filter,
                                  design_filter, fg_filter_operator,
                                  filter_pipeline, frequency_response,
@@ -197,6 +196,18 @@ class TestTruncatedSvdPinv:
         pinv = truncated_svd_pinv(a)
         np.testing.assert_allclose(a @ pinv @ a, a, atol=1e-8)
 
+    def test_tall_matrix_forms_no_square_of_its_row_count(self):
+        # 3000 x 3: an m x m identity alone would be 72 MB
+        a = np.random.default_rng(0).standard_normal((3000, 3))
+        tracemalloc.start()
+        try:
+            pinv = truncated_svd_pinv(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        np.testing.assert_allclose(a @ pinv @ a, a, atol=1e-8)
+
     def test_guards(self):
         with pytest.raises(ValueError):
             truncated_svd_pinv(np.zeros((0, 3)))
@@ -345,9 +356,7 @@ class TestDesignOracle:
         powers = fresh_powers(op.entries, 9)[1:]
         for k in range(1, 9):
             cols = np.stack([p.reshape(-1) for p in powers[:k]], axis=1)
-            # (A^T)^+ = (A^+)^T, with the same singular values; A^+ itself
-            # would multiply by an n^2 x n^2 identity
-            h = truncated_svd_pinv(cols.T).T @ b
+            h = truncated_svd_pinv(cols) @ b
             s = np.linalg.svd(cols, compute_uv=False)
             result = design_filter(op, k, d)
             assert result.rank_used == np.count_nonzero(s > 1e-8 * s[0])
@@ -447,7 +456,8 @@ def fresh_design(entries, order, d, rel_tol=1e-8):
     q, r = fresh_factor(entries, max(order, 8))
     r = r[:, :order]
     b = d.matrix().reshape(-1)
-    h_tail, rank = filtering._truncated_svd_solve(r, q.T @ b, rel_tol)
+    v_scaled, u, rank = filtering._truncated_svd(r, rel_tol)
+    h_tail = v_scaled @ (u.T @ (q.T @ b))
     residual = float(np.linalg.norm(q @ (r @ h_tail) - b))
     return np.concatenate([[0.0], h_tail]).tobytes(), residual, rank
 
@@ -460,10 +470,6 @@ def lowpass(n):
     return padded(TARGETS["lowpass"], n)
 
 
-def power_misses():
-    return filtering._power.cache_info().misses
-
-
 def factor_misses():
     return filtering._power_qr.cache_info().misses
 
@@ -473,22 +479,9 @@ def factor_bytes(n):
     return 8 * 8 * n * n + 8 * min(n * n, 8) * 8
 
 
-def cached_powers(op):
-    """W^0..W^8 of ``op`` read from ``filtering._power``; fails unless every
-    one of them was cached."""
-    misses = power_misses()
-    powers = [filtering._power(op, k) for k in range(9)]
-    assert power_misses() == misses
-    return powers
-
-
 class TestPowerCache:
-    """W^0..W^8 of the last operator are cached, read-only, by ``_power``,
-    and the QR factor of its order-8 power matrix by ``_power_qr``."""
-
-    def test_cache_holds_the_powers_of_every_swept_order(self):
-        # W^0 and the powers of experiments.DESIGN_ORDERS
-        assert filtering._power.cache_info().maxsize == len(DESIGN_ORDERS) + 1
+    """The QR factor of the last operator's order-8 power matrix is cached,
+    read-only, by ``_power_qr``; the powers themselves are formed per call."""
 
     def test_alternating_operators_and_orders_give_the_fresh_bits(self):
         ops = [build_fg_shift(sin_product(0.5, 0.5, 3.5), 10, 5),
@@ -498,8 +491,6 @@ class TestPowerCache:
         for k in (8, 1, 5, 3, 8, 2, 7, 4, 6, 1):
             for i, op in enumerate(ops):
                 assert design_bits(design_filter(op, k, lowpass(op.size))) == expected[i, k]
-        # nine powers in all, however many operators were designed on
-        assert filtering._power.cache_info().currsize == 9
 
     @pytest.mark.parametrize("order", [9, 12, 25])
     def test_orders_past_the_cache_give_the_fresh_bits(self, order):
@@ -507,72 +498,60 @@ class TestPowerCache:
         d = lowpass(5)
         design_filter(op, 3, d)
         assert design_bits(design_filter(op, order, d)) == fresh_design(op.entries, order, d)
-        assert len(cached_powers(op)) == 9
 
-    def test_cache_holds_w0_to_w8_read_only(self):
-        op = build_fg_shift(exp_sum(0.5), 10, 5)
-        design_filter(op, 25, lowpass(5))
-        for got, want in zip(cached_powers(op), fresh_powers(op.entries, 9)):
-            assert got.tobytes() == want.tobytes()
-            with pytest.raises(ValueError, match="read-only"):
-                got[0, 0] = 0.5
-
-    def test_filter_operator_reads_the_powers_its_design_formed(self):
-        # an order-5 design forms W^0..W^8 for the factor it reads
-        op = build_fg_shift(exp_distance(10.0), 10, 5)
-        before = power_misses()
-        result = design_filter(op, 5, lowpass(5))
-        assert power_misses() == before + 9
-        got = fg_filter_operator(op, result.coeffs)
-        assert power_misses() == before + 9
-        want = sum(hk * p for hk, p in zip(result.coeffs.h, fresh_powers(op.entries, 6)))
+    @pytest.mark.parametrize("taps", range(1, 15))
+    def test_filter_operator_forms_the_fresh_sum_and_factors_nothing(self, taps):
+        op = OperatorMatrix(entries=build_fg_shift(exp_distance(10.0), 10, 5).entries)
+        h = FilterCoeffs(np.linspace(1.0, -0.5, taps))
+        before = factor_misses()
+        got = fg_filter_operator(op, h)
+        assert factor_misses() == before
+        want = sum(hk * p for hk, p in zip(h.h, fresh_powers(op.entries, taps)))
         assert got.tobytes() == want.tobytes()
 
-    def test_a_rebuild_shares_the_powers_another_object_forms_its_own(self):
+    def test_a_rebuild_shares_the_factor_another_object_forms_its_own(self):
         w = exp_sum(0.5)
         op = build_fg_shift(w, 10, 5)
         design_filter(op, 4, lowpass(5))
-        before = power_misses()
+        before = factor_misses()
         again = build_fg_shift(w, 10, 5)
         assert again is op
         design_filter(again, 4, lowpass(5))
-        assert power_misses() == before
+        assert factor_misses() == before
         # the cache is keyed by the operator object, not by its values
         design_filter(OperatorMatrix(entries=op.entries), 4, lowpass(5))
-        assert power_misses() == before + 9
+        assert factor_misses() == before + 1
 
     @pytest.mark.parametrize("p, n", [(10, 5), (1000, 100)])
-    def test_pipeline_after_the_order_sweep_forms_no_power(self, p, n):
-        # the operator benchmark's chain: 9 misses, W^0..W^8, are 8 products
+    def test_pipeline_after_the_order_sweep_factors_nothing(self, p, n):
+        # the operator benchmark's chain
         w, f, d = sin_product(0.5, 0.5, 3.5), (lambda x: x), lowpass(n)
-        before = power_misses()
+        before = factor_misses()
         op = build_fg_shift(w, p, n)
         designs = [design_filter(op, k, d) for k in range(1, 9)]
-        assert power_misses() == before + 9
+        assert factor_misses() == before + 1
         pipe = filter_pipeline(w, f, 5, d, p, n, 50)
-        assert power_misses() == before + 9
+        assert factor_misses() == before + 1
         assert (pipe.coeffs.h.tobytes(), pipe.residual) == design_bits(designs[4])[:2]
 
     @pytest.mark.parametrize("order", [8, 50, 400])
-    def test_cache_holds_at_most_nine_powers_whatever_the_order(self, order):
-        # and the order-8 factor, which only orders up to 8 cache
+    def test_a_design_holds_the_order_8_factor_alone(self, order):
+        # and nothing at all above order 8
         n = 20
         op = build_fg_shift(exp_distance(10.0), 64, n)
-        filtering._power.cache_clear()
         filtering._power_qr.cache_clear()
         tracemalloc.start()
         try:
-            design_filter(op, order, lowpass(n))
+            result = design_filter(op, order, lowpass(n))
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert filtering._power.cache_info().currsize == 9
-        assert sum(p.nbytes for p in cached_powers(op)) == 9 * 8 * n * n
         factor = factor_bytes(n) if order <= 8 else 0
         assert filtering._power_qr.cache_info().currsize == (order <= 8)
         if order <= 8:
             assert sum(a.nbytes for a in filtering._power_qr(op)) == factor
-        assert held < 9 * 8 * n * n + factor + 2 ** 14
+        # beyond the factor: the result's taps and small objects
+        assert factor + result.coeffs.h.nbytes <= held < factor + 2 ** 14
 
     @pytest.mark.parametrize("p, n", [(10, 5), (1000, 100)])
     def test_the_operator_chain_factors_once(self, p, n):
@@ -609,9 +588,9 @@ class TestPowerCache:
                 a[0, 0] = 0.5
 
     def test_threads_sharing_one_operator_give_the_serial_bits(self):
-        # one operator with no power and no factor cached at the start:
-        # concurrent designs and filters race to form and cache the same
-        # powers and the same QR factor
+        # one operator with no factor cached at the start: concurrent designs
+        # race to form and cache the same QR factor, while filters form
+        # their own powers
         entries = build_fg_shift(sin_product(0.5, 0.5, 3.5), 64, 16).entries
         d = lowpass(16)
         taps = [FilterCoeffs(np.linspace(1.0, 0.1, m)) for m in (3, 9, 12)]
@@ -620,7 +599,6 @@ class TestPowerCache:
         serial = OperatorMatrix(entries=entries)
         expected = [fn(serial, *args) for fn, *args in jobs]
         shared = OperatorMatrix(entries=entries)
-        filtering._power.cache_clear()
         filtering._power_qr.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -635,9 +613,6 @@ class TestPowerCache:
                 assert a.tobytes() == b.tobytes()
             else:
                 assert design_bits(a) == design_bits(b)
-        for got_power, want in zip(cached_powers(shared), fresh_powers(entries, 9)):
-            assert got_power.tobytes() == want.tobytes()
-            assert not got_power.flags.writeable
         want_q, want_r = fresh_factor(entries, 8)
         got_q, got_r = filtering._power_qr(shared)
         assert (got_q.tobytes(), got_r.tobytes()) == (want_q.tobytes(), want_r.tobytes())
